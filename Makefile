@@ -49,11 +49,12 @@ check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 # generate/lint benchmarks, the registry allocation guard, the
 # fleet-crawl throughput benchmark, the certificate-index T1–T5
 # query grid (point / prefix / range / ingest / mixed, LSM vs B+tree),
-# and the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
-# Merkle-batched seal) — BENCH_ROUNDS interleaved times — then records
-# medians, min/max spread, derived per-cert allocation costs, the obs
-# histogram snapshots, and a delta table against the previous
-# BENCH_*.json in BENCH_7.json.
+# the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
+# Merkle-batched seal) and the ctlog proof grid (get-sth / consistency
+# / inclusion at 2^10, 2^15 and 2^20 leaves) — BENCH_ROUNDS
+# interleaved times — then records medians, min/max spread, derived
+# per-cert allocation costs, the obs histogram snapshots, and a delta
+# table against the previous BENCH_*.json in BENCH_7.json.
 bench:
 	{ for r in $$(seq 1 $(BENCH_ROUNDS)); do \
 	    BENCH_E2E_SIZE=$(BENCH_E2E_SIZE) $(GO) test -run '^$$' \
@@ -63,7 +64,7 @@ bench:
 	    $(GO) test -run '^$$' -bench 'FleetCrawl' -benchtime 5x ./internal/fleet ; \
 	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed)' \
 		-benchmem ./internal/index ; \
-	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)' \
+	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)|LogProve(STH|Consistency|Inclusion)' \
 		-benchmem ./internal/ctlog ; \
 	  done ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_7.json -note "$(BENCH_NOTE)"

@@ -1,6 +1,8 @@
 package ctlog
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -20,6 +22,17 @@ import (
 // All three report certs/s so benchjson derives per-cert costs; the
 // spread between PerEntry and Batched is the price of the per-entry
 // ECDSA operation that batch sealing amortizes away.
+//
+// The read-side proof grid, also run by `make bench`, serves the three
+// Merkle calls behind get-sth, get-sth-consistency and
+// get-proof-by-hash from logs of 2^10, 2^15 and 2^20 entries:
+//
+//	BenchmarkLogProveSTH          Log.STH: root of the whole tree + signature
+//	BenchmarkLogProveConsistency  Log.ProveConsistency(m, n) at a ragged m
+//	BenchmarkLogProveInclusion    Log.ProveInclusion at a ragged index
+//
+// With stored subtree levels each stays within O(log^2 n) hashes, so
+// the 2^20 row costs a small multiple of the 2^10 row, not 1024 times.
 
 const benchCorpusSize = 256
 
@@ -117,4 +130,71 @@ func BenchmarkWriteBatched(b *testing.B) {
 		b.Fatal(err)
 	}
 	reportCertsPerSec(b)
+}
+
+var benchProveSizes = []int{1 << 10, 1 << 15, 1 << 20}
+
+// benchProveLogs caches one log per size; benchmarks run one at a
+// time, so it needs no lock.
+var benchProveLogs = map[int]*Log{}
+
+// benchProveLog returns a log of n entries, built once per process.
+// Entries are 8-byte stand-ins appended in sealed batches: the proof
+// calls never look at entry contents, and real certificates or a
+// signature per entry would make the 2^20 log slow and large to build.
+func benchProveLog(b *testing.B, n int) *Log {
+	b.Helper()
+	if log, ok := benchProveLogs[n]; ok {
+		return log
+	}
+	log := benchLog(b)
+	const batch = 4096
+	for first := 0; first < n; first += batch {
+		k := min(batch, n-first)
+		ders := make([][]byte, k)
+		for i := range ders {
+			ders[i] = binary.BigEndian.AppendUint64(nil, uint64(first+i))
+		}
+		if _, err := log.AddBatchParsed(ders, make([]bool, k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchProveLogs[n] = log
+	return log
+}
+
+func benchProve(b *testing.B, prove func(log *Log, n int) error) {
+	for _, n := range benchProveSizes {
+		b.Run(fmt.Sprintf("leaves=%d", n), func(b *testing.B) {
+			log := benchProveLog(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := prove(log, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkLogProveSTH(b *testing.B) {
+	benchProve(b, func(log *Log, _ int) error {
+		_, err := log.STH()
+		return err
+	})
+}
+
+func BenchmarkLogProveConsistency(b *testing.B) {
+	benchProve(b, func(log *Log, n int) error {
+		_, err := log.ProveConsistency(n/2+n/3, n-1)
+		return err
+	})
+}
+
+func BenchmarkLogProveInclusion(b *testing.B) {
+	benchProve(b, func(log *Log, n int) error {
+		_, err := log.ProveInclusion(n/2 + n/3)
+		return err
+	})
 }

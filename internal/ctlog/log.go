@@ -147,6 +147,28 @@ func (l *Log) ProveInclusion(i int) ([]Hash, error) {
 	return l.tree.InclusionProof(i, len(l.entries))
 }
 
+// ErrLeafNotFound reports that no leaf within the requested tree size
+// has the given hash.
+var ErrLeafNotFound = errors.New("ctlog: hash not found")
+
+// ProveInclusionByHash returns the index of the first entry whose leaf
+// hash is leaf within the tree of size n, and its audit path under n.
+// It scans the stored leaf hashes under the read lock, so it neither
+// copies entries nor re-hashes certificates.
+func (l *Log) ProveInclusionByHash(leaf Hash, n int) (int, []Hash, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if n < 1 || n > len(l.entries) {
+		return 0, nil, errors.New("ctlog: tree size out of range")
+	}
+	i := l.tree.leafIndex(leaf, n)
+	if i < 0 {
+		return 0, nil, ErrLeafNotFound
+	}
+	proof, err := l.tree.InclusionProof(i, n)
+	return i, proof, err
+}
+
 // ProveConsistency returns the consistency proof between sizes m and n.
 func (l *Log) ProveConsistency(m, n int) ([]Hash, error) {
 	l.mu.RLock()

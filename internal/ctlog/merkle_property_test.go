@@ -2,17 +2,20 @@ package ctlog
 
 // Property tests for the proof system the audited crawl trusts. The
 // exhaustive round-trips cover EVERY (index, size) and (old, new) pair
-// up to maxPropertySize, which is only tractable with a memoized
-// prover: the production Tree recomputes subtree roots from leaves on
-// every call (O(n) per proof node), while memoProver caches each
-// [lo,hi) subtree root, making the ~260k proofs below cost one hash
-// per node. The memoized prover is itself anchored against the
-// production prover for the small sizes where the naive cost is fine.
+// up to maxPropertySize, for both the production Tree and memoProver,
+// an independent oracle that recomputes each [lo,hi) subtree root from
+// the leaves and memoizes it instead of reading stored levels. The two
+// provers must agree byte for byte on every one of those proofs, and
+// on seeded random pairs in a tree of 2^16+3 leaves. A cost guard
+// fails if the production prover goes back to O(tree size) per proof.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
+	"math/rand"
 	"testing"
+	"time"
 )
 
 const maxPropertySize = 512
@@ -30,10 +33,16 @@ func propertyLeaves(n int) []Hash {
 }
 
 // memoProver mirrors the production path/consistency recursions over
-// [lo,hi) windows with memoized subtree roots.
+// [lo,hi) windows, but derives each subtree root from the leaves alone
+// (memoized), sharing nothing with Tree's stored levels.
 type memoProver struct {
 	leaves []Hash
 	memo   map[[2]int]Hash
+}
+
+// subtreeRoot is the oracle MTH of a leaf slice.
+func subtreeRoot(leaves []Hash) Hash {
+	return newMemoProver(leaves).root(0, len(leaves))
 }
 
 func newMemoProver(leaves []Hash) *memoProver {
@@ -82,85 +91,197 @@ func (p *memoProver) consistency(m, lo, hi int, complete bool) []Hash {
 	return append(p.consistency(m-k, lo+k, hi, false), p.root(lo, lo+k))
 }
 
-// TestMemoProverMatchesTree anchors the memoized prover against the
-// production Tree: identical roots at every size, identical proofs for
-// every pair small enough to generate naively.
-func TestMemoProverMatchesTree(t *testing.T) {
-	leaves := propertyLeaves(maxPropertySize)
-	p := newMemoProver(leaves)
+func buildTree(leaves []Hash) *Tree {
 	tree := &Tree{}
 	for _, l := range leaves {
 		tree.Append(l)
 	}
-	for n := 0; n <= maxPropertySize; n++ {
-		want, err := tree.Root(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.root(0, n); got != want {
-			t.Fatalf("memo root(%d) diverges from Tree.Root", n)
+	return tree
+}
+
+func sameProof(got, want []Hash) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			return false
 		}
 	}
-	const anchorMax = 64
-	for n := 1; n <= anchorMax; n++ {
-		for i := 0; i < n; i++ {
-			want, err := tree.InclusionProof(i, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := p.path(i, 0, n)
-			if len(got) != len(want) {
-				t.Fatalf("path(%d,%d): %d nodes, want %d", i, n, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("path(%d,%d) node %d diverges", i, n, j)
-				}
-			}
-		}
-		for m := 1; m <= n; m++ {
-			want, err := tree.ConsistencyProof(m, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := p.consistency(m, 0, n, true)
-			if len(got) != len(want) {
-				t.Fatalf("consistency(%d,%d): %d nodes, want %d", m, n, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("consistency(%d,%d) node %d diverges", m, n, j)
-				}
-			}
+	return true
+}
+
+// checkAgainstMemo fails unless the production Tree's root and proofs
+// at (i, n) and (m, n) are byte-identical to memoProver's.
+func checkAgainstMemo(t *testing.T, tree *Tree, p *memoProver, i, m, n int) {
+	t.Helper()
+	root, err := tree.Root(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root != p.root(0, n) {
+		t.Fatalf("Tree.Root(%d) diverges from memoProver", n)
+	}
+	path, err := tree.InclusionProof(i, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameProof(path, p.path(i, 0, n)) {
+		t.Fatalf("InclusionProof(%d,%d) diverges from memoProver", i, n)
+	}
+	cons, err := tree.ConsistencyProof(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameProof(cons, p.consistency(m, 0, n, true)) {
+		t.Fatalf("ConsistencyProof(%d,%d) diverges from memoProver", m, n)
+	}
+}
+
+// TestMemoProverMatchesTree checks the production Tree against the
+// oracle: identical roots at every size and identical proofs for every
+// (i, n) and (m, n) pair up to maxPropertySize.
+func TestMemoProverMatchesTree(t *testing.T) {
+	leaves := propertyLeaves(maxPropertySize)
+	p := newMemoProver(leaves)
+	tree := buildTree(leaves)
+	if want := sha256.Sum256(nil); p.root(0, 0) != want {
+		t.Fatal("memo root of the empty tree is not SHA-256 of empty string")
+	}
+	if got, _ := tree.Root(0); got != p.root(0, 0) {
+		t.Fatal("Tree.Root(0) diverges from memoProver")
+	}
+	for n := 1; n <= maxPropertySize; n++ {
+		for k := 0; k < n; k++ {
+			checkAgainstMemo(t, tree, p, k, k+1, n)
 		}
 	}
 }
 
+// TestTreeMatchesMemoLarge compares seeded random pairs in a tree of
+// 2^16+3 leaves, plus the edges of its largest complete subtree.
+func TestTreeMatchesMemoLarge(t *testing.T) {
+	const size = 1<<16 + 3
+	leaves := propertyLeaves(size)
+	p := newMemoProver(leaves)
+	tree := buildTree(leaves)
+	rng := rand.New(rand.NewSource(16))
+	pairs := [][3]int{{0, 1, size}, {size - 1, size, size}, {1<<16 - 1, 1 << 16, size}, {1 << 16, 1<<16 + 1, size}}
+	for k := 0; k < 300; k++ {
+		n := 1 + rng.Intn(size)
+		pairs = append(pairs, [3]int{rng.Intn(n), 1 + rng.Intn(n), n})
+	}
+	for _, pr := range pairs {
+		checkAgainstMemo(t, tree, p, pr[0], pr[1], pr[2])
+	}
+}
+
+// TestProverCostLogarithmic fails if a proof at 2^20 leaves goes back
+// to costing O(tree size): ConsistencyProof must allocate at most
+// log2 n times, and cost within a constant factor of the same proof
+// shape at 2^10 leaves. O(log^2 n) work makes the ratio about 4, work
+// proportional to n makes it about 1000; 64 sits between with margin
+// for a busy or instrumented (-race) run. Each side is the best of
+// several timed batches, so interference can only inflate, not
+// deflate, the ratio.
+func TestProverCostLogarithmic(t *testing.T) {
+	const big, small = 1 << 20, 1 << 10
+	tree := &Tree{}
+	for i := 0; i < big; i++ {
+		var leaf Hash
+		binary.BigEndian.PutUint64(leaf[:], uint64(i))
+		tree.Append(leaf)
+	}
+	m := big/2 + big/3 // ragged, so the proof has many ragged subtrees
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := tree.ConsistencyProof(m, big-1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(bits.Len(big) - 1); allocs > limit {
+		t.Fatalf("ConsistencyProof at n=2^20 made %.1f allocations, want <= log2 n = %.0f", allocs, limit)
+	}
+	best := func(m, n int) time.Duration {
+		b := time.Duration(1 << 62)
+		for trial := 0; trial < 7; trial++ {
+			t0 := time.Now()
+			for r := 0; r < 50; r++ {
+				if _, err := tree.ConsistencyProof(m, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b = min(b, time.Since(t0))
+		}
+		return b
+	}
+	smallCost := best(small/2+small/3, small-1)
+	bigCost := best(m, big-1)
+	if bigCost > 64*smallCost {
+		t.Fatalf("ConsistencyProof at 2^20 leaves costs %v, %.0fx the same proof at 2^10 (%v): no longer O(log^2 n)",
+			bigCost, float64(bigCost)/float64(smallCost), smallCost)
+	}
+}
+
+// TestHashingAllocationFree guards the per-node hash and Tree.Root
+// against heap allocation: proofs, roots and both verifiers call
+// nodeHash once per node.
+func TestHashingAllocationFree(t *testing.T) {
+	leaves := propertyLeaves(1000)
+	tree := buildTree(leaves)
+	var sink Hash
+	if a := testing.AllocsPerRun(100, func() { sink = nodeHash(leaves[0], leaves[1]) }); a != 0 {
+		t.Errorf("nodeHash makes %.1f allocations, want 0", a)
+	}
+	for _, n := range []int{0, 1, 999, 1000} {
+		if a := testing.AllocsPerRun(100, func() { sink, _ = tree.Root(n) }); a != 0 {
+			t.Errorf("Tree.Root(%d) makes %.1f allocations, want 0", n, a)
+		}
+	}
+	_ = sink
+}
+
 // TestInclusionRoundTripExhaustive proves and verifies EVERY leaf
-// under EVERY tree size up to maxPropertySize.
+// under EVERY tree size up to maxPropertySize, with both provers.
 func TestInclusionRoundTripExhaustive(t *testing.T) {
 	leaves := propertyLeaves(maxPropertySize)
 	p := newMemoProver(leaves)
+	tree := buildTree(leaves)
 	for n := 1; n <= maxPropertySize; n++ {
 		root := p.root(0, n)
 		for i := 0; i < n; i++ {
 			if !VerifyInclusion(leaves[i], i, n, p.path(i, 0, n), root) {
-				t.Fatalf("valid inclusion proof rejected (i=%d, n=%d)", i, n)
+				t.Fatalf("valid memo inclusion proof rejected (i=%d, n=%d)", i, n)
+			}
+			proof, err := tree.InclusionProof(i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !VerifyInclusion(leaves[i], i, n, proof, root) {
+				t.Fatalf("valid Tree inclusion proof rejected (i=%d, n=%d)", i, n)
 			}
 		}
 	}
 }
 
 // TestConsistencyRoundTripExhaustive proves and verifies EVERY
-// (old, new) size pair up to maxPropertySize.
+// (old, new) size pair up to maxPropertySize, with both provers.
 func TestConsistencyRoundTripExhaustive(t *testing.T) {
 	leaves := propertyLeaves(maxPropertySize)
 	p := newMemoProver(leaves)
+	tree := buildTree(leaves)
 	for n := 1; n <= maxPropertySize; n++ {
 		newRoot := p.root(0, n)
 		for m := 1; m <= n; m++ {
-			if !VerifyConsistency(m, n, p.root(0, m), newRoot, p.consistency(m, 0, n, true)) {
-				t.Fatalf("valid consistency proof rejected (m=%d, n=%d)", m, n)
+			oldRoot := p.root(0, m)
+			if !VerifyConsistency(m, n, oldRoot, newRoot, p.consistency(m, 0, n, true)) {
+				t.Fatalf("valid memo consistency proof rejected (m=%d, n=%d)", m, n)
+			}
+			proof, err := tree.ConsistencyProof(m, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !VerifyConsistency(m, n, oldRoot, newRoot, proof) {
+				t.Fatalf("valid Tree consistency proof rejected (m=%d, n=%d)", m, n)
 			}
 		}
 	}

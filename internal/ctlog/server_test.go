@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
@@ -102,6 +103,67 @@ func TestGetProofByHash(t *testing.T) {
 	root, _ := log.tree.Root(8)
 	if !VerifyInclusion(h, idx, 8, proof, root) {
 		t.Fatal("HTTP-delivered proof does not verify")
+	}
+}
+
+// TestGetProofByHashConcurrentAppend serves get-proof-by-hash while
+// entries are being appended; under -race it fails if the handler
+// reads the tree without the log lock. Every proof served mid-append
+// must verify against the root at the size it was asked for.
+func TestGetProofByHashConcurrentAppend(t *testing.T) {
+	log, srv := newTestServer(t)
+	const total = 300
+	ders := make([][]byte, total)
+	for i := range ders {
+		ders[i] = []byte("entry-" + strconv.Itoa(i))
+	}
+	if _, err := log.AddParsed(ders[0], false); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, der := range ders[1:] {
+			if _, err := log.AddParsed(der, false); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	type served struct {
+		index, size int
+		proof       []Hash
+	}
+	var got []served
+	cl := &Client{Base: srv.URL}
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		size := log.Size()
+		want := size / 2
+		idx, proof, err := cl.GetProofByHash(context.Background(), LeafHash(ders[want]), size)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if idx != want {
+			t.Fatalf("size %d: leaf index %d, want %d", size, idx, want)
+		}
+		got = append(got, served{idx, size, proof})
+	}
+	for _, s := range got {
+		root, err := log.tree.Root(s.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !VerifyInclusion(LeafHash(ders[s.index]), s.index, s.size, s.proof, root) {
+			t.Fatalf("proof for leaf %d at size %d served mid-append does not verify", s.index, s.size)
+		}
 	}
 }
 
