@@ -35,12 +35,14 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Seconds of coverage-guided fuzzing against the Merkle proof
-# verifiers in `make check` — enough to shake out fold regressions
-# without stalling the suite. Raise for a dedicated fuzz session.
+# Seconds of coverage-guided fuzzing per target in `make check`: the
+# Merkle proof verifiers and the LSM-vs-B+tree index differential —
+# enough to shake out fold and merge regressions without stalling the
+# suite. Raise for a dedicated fuzz session.
 FUZZ_TIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
+	$(GO) test -run '^$$' -fuzz 'FuzzIndexLookup' -fuzztime $(FUZZ_TIME) ./internal/index
 
 check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 
@@ -48,7 +50,8 @@ check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 # paper scale), the streaming slot-recycling variant, the per-stage
 # generate/lint benchmarks, the registry allocation guard, the
 # fleet-crawl throughput benchmark, the certificate-index T1–T5
-# query grid (point / prefix / range / ingest / mixed, LSM vs B+tree),
+# query grid (point / prefix / range / ingest / mixed, LSM vs B+tree)
+# plus the LSM 8-segment compaction,
 # the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
 # Merkle-batched seal) and the ctlog proof grid (get-sth / consistency
 # / inclusion at 2^10, 2^15 and 2^20 leaves) — BENCH_ROUNDS
@@ -62,7 +65,7 @@ bench:
 		-benchtime 1x -benchmem . ; \
 	    $(GO) test -run '^$$' -bench 'RegistryRun' -benchmem ./internal/lint ; \
 	    $(GO) test -run '^$$' -bench 'FleetCrawl' -benchtime 5x ./internal/fleet ; \
-	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed)' \
+	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed|Compact)' \
 		-benchmem ./internal/index ; \
 	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)|LogProve(STH|Consistency|Inclusion)' \
 		-benchmem ./internal/ctlog ; \

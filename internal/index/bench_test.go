@@ -209,3 +209,60 @@ func BenchmarkIndexMixedLSM(b *testing.B) {
 func BenchmarkIndexMixedBTree(b *testing.B) {
 	benchMixed(b, NewBTree())
 }
+
+// BenchmarkIndexCompactLSM measures one Compact merging 8 segments as
+// the default FlushAt cuts them (820 records, 4,100 postings each).
+// Each op starts from a fresh copy of the same 8 files; writing and
+// opening them happens off the clock.
+func BenchmarkIndexCompactLSM(b *testing.B) {
+	const segments = 8
+	src := b.TempDir()
+	lsm, err := Open(Options{Dir: src, CompactAfter: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; lsm.Stats().Segments < segments; i++ {
+		if err := lsm.Put(benchRecord(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := lsm.Close(); err != nil {
+		b.Fatal(err)
+	}
+	files, err := segmentFiles(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bufs := make([][]byte, len(files))
+	for i, f := range files {
+		if bufs[i], err = os.ReadFile(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		for j, buf := range bufs {
+			if err := os.WriteFile(segmentPath(dir, int64(j)), buf, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ix, err := Open(Options{Dir: dir, CompactAfter: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := ix.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := ix.Stats(); st.Segments != 1 {
+			b.Fatalf("Compact left %d segments", st.Segments)
+		}
+		ix.Close()
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+}

@@ -44,24 +44,36 @@ func (r *fuzzReader) domain() string {
 var fuzzIssuers = []string{"CN=Alpha CA", "CN=Beta CA", "CN=Gamma CA"}
 
 // FuzzIndexLookup is the differential harness: the same put sequence
-// (with fuzz-chosen flush and compaction boundaries) goes into the LSM
-// and the B+tree baseline, then one fuzz-chosen query runs against
+// (with fuzz-chosen FlushAt, flush and compaction boundaries) goes into
+// the LSM and the B+tree baseline, then one fuzz-chosen query runs against
 // both. The contract: never panic, never return a record outside the
 // queried range, and the two backends agree posting for posting.
 func FuzzIndexLookup(f *testing.F) {
-	f.Add([]byte{3, 5, 'a', 'b', 'c', 0, 1, 4, 'a', 10, 2, 0, 3, 'a', 'b', 'c'})
-	f.Add([]byte{8, 0, 2, 11, 12, 1, 3, 9, 200, 4, 4, 4, 4})
-	f.Add([]byte{1, 2, 10, 11, 2, 0, 0, 0, 3})
+	// The first byte picks FlushAt (3 → 4 postings, 80 → 81).
+	f.Add([]byte{3, 3, 5, 'a', 'b', 'c', 0, 1, 4, 'a', 10, 2, 0, 3, 'a', 'b', 'c'})
+	f.Add([]byte{3, 8, 0, 2, 11, 12, 1, 3, 9, 200, 4, 4, 4, 4})
+	f.Add([]byte{3, 1, 2, 10, 11, 2, 0, 0, 0, 3})
+	// 16 two-rune records that all stay in the memtable (FlushAt 81,
+	// no flush choices), then a prefix scan over every domain.
+	mem := []byte{80, 16}
+	for i := byte(0); i < 16; i++ {
+		mem = append(mem, 2, i*7%9, 10+i%5, i%3, i*13, 2+i%6)
+	}
+	f.Add(append(mem, 1, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		lsm, err := Open(Options{Dir: t.TempDir(), FlushAt: 4, CompactAfter: -1})
+		// FlushAt 1..81 postings: at the top of the range all 16
+		// records (80 postings) can stay in the memtable, so lookups
+		// meet unsorted tails as well as flushed segments.
+		flushAt := 1 + int(r.byte())%81
+		lsm, err := Open(Options{Dir: t.TempDir(), FlushAt: flushAt, CompactAfter: -1})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer lsm.Close()
 		bt := NewBTree()
 
-		nrec := int(r.byte()) % 16
+		nrec := int(r.byte()) % 17
 		for i := 0; i < nrec; i++ {
 			d := r.domain()
 			rec := Record{

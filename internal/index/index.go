@@ -9,12 +9,13 @@
 // query) are all one ordered-key scan.
 //
 // Two backends answer the same Index interface: an embedded LSM
-// (mutable sorted memtable + immutable CRC-sealed segment files with
-// per-segment bloom filters and background compaction) that persists
-// across restarts, and an in-memory B+tree baseline kept around for
-// the T1–T5 benchmark grid and as a differential-testing oracle — the
-// fuzz harness asserts both return byte-identical results for every
-// query.
+// (an append-then-merge memtable — Put appends, readers and flushes
+// first merge the separately sorted tail into the sorted prefix — plus
+// immutable CRC-sealed segment files with per-segment bloom filters
+// and background compaction) that persists across restarts, and an
+// in-memory B+tree baseline kept around for the T1–T5 benchmark grid
+// and as a differential-testing oracle — the fuzz harness asserts both
+// return byte-identical results for every query.
 //
 // The store is append-only by design: postings are never updated or
 // deleted (a CT log never un-logs a certificate), which removes the

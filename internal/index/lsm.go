@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/obs"
 )
 
-// LSM is the persistent backend: a mutable sorted memtable absorbs
-// writes, flushes become immutable CRC-sealed segment files, and a
+// LSM is the persistent backend: a mutable append-then-merge memtable
+// absorbs writes, flushes become immutable CRC-sealed segment files, and a
 // background compactor merges segments back down so reads never fan
 // out across more than ~CompactAfter sorted runs. The store is
 // append-only (no updates, no deletes — CT logs never un-log), so
@@ -78,29 +79,84 @@ func (o Options) compactAfter() int {
 	return 8
 }
 
-// memtable is the mutable sorted run: parallel key/value slices kept
-// in ascending key order by binary-search insertion. It is bounded by
-// FlushAt, so the shift cost of an insert stays small and cache-warm.
+// memtable is the mutable run: parallel key/value slices whose first
+// `sorted` entries are in ascending key order, followed by an unsorted
+// tail in arrival order. add is O(1); settle sorts the tail on its
+// own (O(t log t)) and merges it backwards into the prefix with one
+// binary search and one block move per tail entry, moving only the
+// prefix entries that sort after the tail's smallest key, each once.
+// Readers and the flush settle first, so a read after every Put moves
+// no more than an insertion-sorted table would, and a write-only
+// stretch pays one sort per flush instead of a shift per posting.
 type memtable struct {
-	keys  [][]byte
-	vals  [][]byte
-	certs uint64
+	keys   [][]byte
+	vals   [][]byte
+	sorted int // keys[:sorted] ascending; keys[sorted:] arrival order
+	certs  uint64
+
+	tailKeys, tailVals [][]byte // settle scratch, reused
 }
 
-func (m *memtable) insert(key, val []byte) {
-	i := sort.Search(len(m.keys), func(i int) bool { return bytes.Compare(m.keys[i], key) >= 0 })
-	m.keys = append(m.keys, nil)
-	copy(m.keys[i+1:], m.keys[i:])
-	m.keys[i] = key
-	m.vals = append(m.vals, nil)
-	copy(m.vals[i+1:], m.vals[i:])
-	m.vals[i] = val
+func (m *memtable) add(key, val []byte) {
+	m.keys = append(m.keys, key)
+	m.vals = append(m.vals, val)
 	if len(key) > 0 && key[0] == spaceCert {
 		m.certs++
 	}
 }
 
-func (m *memtable) reset() { m.keys, m.vals, m.certs = nil, nil, 0 }
+func (m *memtable) settled() bool { return m.sorted == len(m.keys) }
+
+// settle makes the whole memtable one ascending run. Keys are unique
+// (every posting ends in its Put's sequence number), so no tie order
+// needs preserving.
+func (m *memtable) settle() {
+	s, n := m.sorted, len(m.keys)
+	if s == n {
+		return
+	}
+	sort.Sort(kvRun{m.keys[s:], m.vals[s:]})
+	if s > 0 {
+		// Backward merge: the output fills from the end, so the tail
+		// moves to scratch first. Placing tail entry j, the unplaced
+		// prefix entries above it (keys[p:i]) have j+1 tail entries
+		// below them and shift up by that much as one block.
+		m.tailKeys = append(m.tailKeys[:0], m.keys[s:]...)
+		m.tailVals = append(m.tailVals[:0], m.vals[s:]...)
+		i := s
+		for j := n - s - 1; j >= 0; j-- {
+			p, _ := slices.BinarySearchFunc(m.keys[:i], m.tailKeys[j], compareKeys)
+			copy(m.keys[p+j+1:], m.keys[p:i])
+			copy(m.vals[p+j+1:], m.vals[p:i])
+			m.keys[p+j], m.vals[p+j] = m.tailKeys[j], m.tailVals[j]
+			i = p
+		}
+		clear(m.tailKeys)
+		clear(m.tailVals)
+	}
+	m.sorted = n
+}
+
+// reset empties the memtable for reuse after a flush. The backing
+// arrays are kept (segments never alias them: parseSegment re-slices
+// the sealed file buffer) and cleared so flushed postings can be
+// collected.
+func (m *memtable) reset() {
+	clear(m.keys)
+	clear(m.vals)
+	m.keys, m.vals = m.keys[:0], m.vals[:0]
+	m.sorted, m.certs = 0, 0
+}
+
+// kvRun sorts parallel key/value slices by key.
+type kvRun struct{ keys, vals [][]byte }
+
+func (r kvRun) Len() int           { return len(r.keys) }
+func (r kvRun) Less(i, j int) bool { return compareKeys(r.keys[i], r.keys[j]) < 0 }
+func (r kvRun) Swap(i, j int) {
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
+}
 
 func compareKeys(a, b []byte) int { return bytes.Compare(a, b) }
 
@@ -220,7 +276,7 @@ func (l *LSM) Put(rec Record) error {
 		return err
 	}
 	for _, k := range keys {
-		l.mem.insert(k, val)
+		l.mem.add(k, val)
 	}
 	full := len(l.mem.keys) >= l.opts.flushAt()
 	var ferr error
@@ -254,6 +310,7 @@ func (l *LSM) flushLocked() error {
 	if len(l.mem.keys) == 0 {
 		return nil
 	}
+	l.mem.settle()
 	path := segmentPath(l.opts.Dir, l.nextSeg)
 	buf := buildSegment(l.mem.keys, l.mem.vals)
 	if err := writeSegment(path, buf); err != nil {
@@ -321,11 +378,14 @@ func (l *LSM) Compact() error {
 		return nil
 	}
 
-	var keys, vals [][]byte
+	total := 0
 	cursors := make([]cursor, len(inputs))
 	for i, s := range inputs {
 		cursors[i] = cursor{keys: s.keys, vals: s.vals}
+		total += len(s.keys)
 	}
+	keys := make([][]byte, 0, total)
+	vals := make([][]byte, 0, total)
 	mergeCursors(cursors, nil, nil, func(k, v []byte) bool {
 		keys = append(keys, k)
 		vals = append(vals, v)
@@ -361,14 +421,24 @@ func (l *LSM) Compact() error {
 // Lookup implements Index.
 func (l *LSM) Lookup(q Query) ([]Record, error) { return l.LookupAppend(q, nil) }
 
-// LookupAppend implements Index.
+// LookupAppend implements Index. It reads under the read lock when the
+// memtable is settled; a lookup that finds an unsorted tail takes the
+// write lock, merges the tail, and answers under that lock.
 func (l *LSM) LookupAppend(q Query, dst []Record) ([]Record, error) {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
+	if l.mem.settled() {
+		defer l.mu.RUnlock()
+		return evalLookup((*lsmStore)(l), q, dst)
+	}
+	l.mu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mem.settle()
 	return evalLookup((*lsmStore)(l), q, dst)
 }
 
-// lsmStore is the scan view over the locked LSM; callers hold mu.RLock.
+// lsmStore is the scan view over the locked LSM with a settled
+// memtable; callers hold mu.
 type lsmStore LSM
 
 func (s *lsmStore) sources(bloomPrimary []byte) []cursor {

@@ -136,13 +136,29 @@ func modelQueryBattery(t *testing.T, label string, ix Index, m *refModel) {
 // TestLSMAgainstModel is the property test: random interleavings of
 // put / flush / compact / reopen must keep the LSM's answers — for all
 // four key spaces and full iteration order — identical to the oracle's.
+// The seedN configurations flush every couple of Puts; the memtable_
+// configurations never flush on size and, with probability
+// 1/probeOneIn, run the query battery right after a Put, so lookups
+// meet unsorted memtable tails of many lengths.
 func TestLSMAgainstModel(t *testing.T) {
+	type config struct {
+		name                string
+		seed                int64
+		flushAt, probeOneIn int
+	}
+	var configs []config
 	for _, seed := range []int64{1, 7, 42, 1337} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
+		configs = append(configs, config{fmt.Sprintf("seed%d", seed), seed, 8, 0})
+	}
+	for _, seed := range []int64{3, 99} {
+		configs = append(configs, config{fmt.Sprintf("memtable_seed%d", seed), seed, 1 << 20, 4})
+	}
+	for _, c := range configs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(c.seed))
 			dir := t.TempDir()
-			opts := Options{Dir: dir, FlushAt: 8, CompactAfter: -1}
+			opts := Options{Dir: dir, FlushAt: c.flushAt, CompactAfter: -1}
 			lsm, err := Open(opts)
 			if err != nil {
 				t.Fatalf("Open: %v", err)
@@ -159,6 +175,9 @@ func TestLSMAgainstModel(t *testing.T) {
 						t.Fatalf("op %d: Put: %v", i, err)
 					}
 					m.put(rec)
+					if c.probeOneIn > 0 && rng.Intn(c.probeOneIn) == 0 {
+						modelQueryBattery(t, fmt.Sprintf("after op %d", i), lsm, m)
+					}
 				case r < 88:
 					if err := lsm.Flush(); err != nil {
 						t.Fatalf("op %d: Flush: %v", i, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,29 +51,38 @@ type segment struct {
 }
 
 // buildSegment serializes sorted postings (keys strictly ascending)
-// into the wire format.
+// into the wire format. It sizes the file exactly up front and encodes
+// header, payload, bloom and CRC in place: one allocation, no copy.
 func buildSegment(keys, vals [][]byte) []byte {
-	var data []byte
+	dataLen := 0
 	for i := range keys {
-		data = binary.AppendUvarint(data, uint64(len(keys[i])))
-		data = append(data, keys[i]...)
-		data = binary.AppendUvarint(data, uint64(len(vals[i])))
-		data = append(data, vals[i]...)
+		dataLen += uvarintLen(len(keys[i])) + len(keys[i]) + uvarintLen(len(vals[i])) + len(vals[i])
 	}
-	bl := newBloom(len(keys))
-	for _, k := range keys {
-		bl.add(postingPrimary(k))
-	}
-	buf := make([]byte, segmentHdrLen, segmentHdrLen+len(data)+len(bl.bits)+4)
+	bloomLen := bloomBytes(len(keys))
+	buf := make([]byte, segmentHdrLen+dataLen+bloomLen+4)
 	copy(buf[0:4], segmentMagic)
 	binary.LittleEndian.PutUint16(buf[4:6], segmentVersion)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(keys)))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(data)))
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(bl.bits)))
-	buf = append(buf, data...)
-	buf = append(buf, bl.bits...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(dataLen))
+	binary.LittleEndian.PutUint32(buf[16:20], uint32(bloomLen))
+	off := segmentHdrLen
+	for i := range keys {
+		off += binary.PutUvarint(buf[off:], uint64(len(keys[i])))
+		off += copy(buf[off:], keys[i])
+		off += binary.PutUvarint(buf[off:], uint64(len(vals[i])))
+		off += copy(buf[off:], vals[i])
+	}
+	bl := bloom{bits: buf[off : off+bloomLen]}
+	for _, k := range keys {
+		bl.add(postingPrimary(k))
+	}
+	off += bloomLen
+	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
+	return buf
 }
+
+// uvarintLen is the encoded size of n as a uvarint.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // postingPrimary slices <space> 0x00 <primary> out of a posting key —
 // the unit bloom filters and exact scans work in.
@@ -227,15 +237,11 @@ type bloom struct {
 
 const bloomHashes = 4
 
-// newBloom sizes ~10 bits per distinct element (≈1% false positives
-// at k=4); n is the posting count, an overestimate of distinct
-// primaries, which only makes the filter more accurate.
-func newBloom(n int) bloom {
-	bytes := (n*10 + 7) / 8
-	if bytes < 8 {
-		bytes = 8
-	}
-	return bloom{bits: make([]byte, bytes)}
+// bloomBytes sizes a filter at ~10 bits per distinct element (≈1%
+// false positives at k=4); n is the posting count, an overestimate of
+// distinct primaries, which only makes the filter more accurate.
+func bloomBytes(n int) int {
+	return max((n*10+7)/8, 8)
 }
 
 // bloomHash is FNV-1a 64 split into two 32-bit halves for double
