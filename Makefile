@@ -22,12 +22,19 @@ BENCH_ROUNDS ?= 3
 # Address the smoke-metrics crawl serves its /metrics endpoint on.
 SMOKE_METRICS_ADDR ?= 127.0.0.1:19321
 
-.PHONY: build vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet
+.PHONY: build vet perfbench-vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet type-checks the nested perfbench module, which the root
+# `go build ./...` does not reach, so an internal API change that
+# breaks the benchmark harness fails here. vet rather than build: a
+# build of its single main package would drop a binary into the tree.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -44,7 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexLookup' -fuzztime $(FUZZ_TIME) ./internal/index
 
-check: build vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
+check: build vet perfbench-vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
 
 # bench runs the end-to-end pipeline benchmarks (1 iteration each at
 # paper scale), the streaming slot-recycling variant, the per-stage

@@ -420,7 +420,7 @@ func benchMeasureE2E(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := a.MeasureCorpusPipeline(context.Background(), cfg, lint.Options{},
+		res, err := a.MeasureCorpus(context.Background(), cfg, lint.Options{},
 			pipeline.Config{Workers: workers, Obs: reg})
 		if err != nil {
 			b.Fatal(err)

@@ -72,7 +72,7 @@ func main() {
 	cfg := corpus.DefaultConfig()
 	cfg.Size = *size
 	cfg.Seed = *seed
-	res, err := a.MeasureCorpusPipeline(ctx, cfg,
+	res, err := a.MeasureCorpus(ctx, cfg,
 		lint.Options{IgnoreEffectiveDates: *allDates},
 		pipeline.Config{Workers: *workers, Obs: reg})
 	if err != nil {

@@ -61,28 +61,11 @@ func (a *Analyzer) LintPEM(pemData []byte, opts lint.Options) ([]*lint.CertResul
 }
 
 // MeasureCorpus generates a corpus and runs the RQ1 measurement over
-// it. It delegates to the parallel pipeline sized to the machine
-// (runtime.NumCPU workers); sharded generation makes the result
-// byte-identical to the sequential path.
-func (a *Analyzer) MeasureCorpus(cfg corpus.Config, opts lint.Options) (*corpus.Measurement, error) {
-	return a.MeasureCorpusParallel(context.Background(), cfg, opts, 0)
-}
-
-// MeasureCorpusParallel is MeasureCorpus with explicit worker count
-// (0 = runtime.NumCPU) and cancellation.
-func (a *Analyzer) MeasureCorpusParallel(ctx context.Context, cfg corpus.Config, opts lint.Options, workers int) (*corpus.Measurement, error) {
-	res, err := a.MeasureCorpusPipeline(ctx, cfg, opts, pipeline.Config{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return res.Measurement, nil
-}
-
-// MeasureCorpusPipeline is the fully-configurable measurement entry
-// point: the caller supplies the pipeline config (workers, obs
-// registry, progress hook) and receives the pipeline result including
-// its Stats. The command-line tools use it to attach observability.
-func (a *Analyzer) MeasureCorpusPipeline(ctx context.Context, cfg corpus.Config, opts lint.Options, pc pipeline.Config) (*pipeline.Result, error) {
+// it on the parallel pipeline. pc sizes the run (zero Workers means
+// runtime.NumCPU) and attaches observability; sharded generation makes
+// the measurement byte-identical to the sequential path for any worker
+// count. The result carries the pipeline Stats and any quarantines.
+func (a *Analyzer) MeasureCorpus(ctx context.Context, cfg corpus.Config, opts lint.Options, pc pipeline.Config) (*pipeline.Result, error) {
 	return pipeline.Measure(ctx, cfg, a.Registry, opts, pc)
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/big"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/lint"
+	"repro/internal/pipeline"
 	"repro/internal/x509cert"
 )
 
@@ -41,12 +43,12 @@ func TestAnalyzerLintDER(t *testing.T) {
 
 func TestAnalyzerMeasureCorpus(t *testing.T) {
 	a := NewAnalyzer()
-	m, err := a.MeasureCorpus(corpus.Config{Size: 300, Seed: 5}, lint.Options{})
+	res, err := a.MeasureCorpus(context.Background(), corpus.Config{Size: 300, Seed: 5}, lint.Options{}, pipeline.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Results) < 300 {
-		t.Fatalf("results %d", len(m.Results))
+	if len(res.Measurement.Results) < 300 {
+		t.Fatalf("results %d", len(res.Measurement.Results))
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // Segment file wire format ("USEG" v1, little-endian):
@@ -158,32 +160,11 @@ func takeBytes(p []byte) ([]byte, []byte, error) {
 	return p[w : w+int(n)], p[w+int(n):], nil
 }
 
-// writeSegment durably publishes buf at path: temp → fsync → rename →
-// dir-fsync, the same dance the checkpoint store uses.
+// writeSegment durably publishes buf at path through
+// durable.WriteFile, the same commit the checkpoint store uses.
 func writeSegment(path string, buf []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: creating segment temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("index: writing segment: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("index: syncing segment: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("index: closing segment temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := durable.WriteFile(path, buf); err != nil {
 		return fmt.Errorf("index: publishing segment: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -20,8 +20,9 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // Checkpoint is a crawl resume point.
@@ -137,39 +138,17 @@ func (s *FileCheckpointStore) Load() (Checkpoint, bool, error) {
 	return cp, true, nil
 }
 
-// Save implements CheckpointStore with full write-ahead durability:
-// the record lands in a temp file, is fsynced, then renamed over Path,
-// and the directory is fsynced so the rename itself survives a crash.
+// Save implements CheckpointStore with full write-ahead durability
+// (durable.WriteFile): the record lands in a temp file, is fsynced,
+// then renamed over Path, and the directory is fsynced so the rename
+// itself survives a crash.
 func (s *FileCheckpointStore) Save(cp Checkpoint) error {
 	buf, err := cp.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.Path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.Path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("monitor: creating checkpoint temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("monitor: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("monitor: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("monitor: closing checkpoint temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path); err != nil {
-		return fmt.Errorf("monitor: publishing checkpoint: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Dir fsync pins the rename; best-effort on filesystems that
-		// reject directory syncs.
-		d.Sync()
-		d.Close()
+	if err := durable.WriteFile(s.Path, buf); err != nil {
+		return fmt.Errorf("monitor: saving checkpoint: %w", err)
 	}
 	return nil
 }

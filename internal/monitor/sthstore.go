@@ -20,10 +20,10 @@ import (
 	"io/fs"
 	"math/bits"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/ctlog"
+	"repro/internal/durable"
 )
 
 // VerifiedSTH is the persisted trust anchor: a tree head whose every
@@ -172,37 +172,15 @@ func (s *FileSTHStore) Load() (VerifiedSTH, bool, error) {
 }
 
 // Save implements STHStore with the temp-write → fsync → rename →
-// dir-fsync discipline, so any kill point leaves either the previous
-// complete anchor or the new one.
+// dir-fsync discipline of durable.WriteFile, so any kill point leaves
+// either the previous complete anchor or the new one.
 func (s *FileSTHStore) Save(v VerifiedSTH) error {
 	buf, err := v.MarshalBinary()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.Path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.Path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("monitor: creating STH temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("monitor: writing STH record: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("monitor: syncing STH record: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("monitor: closing STH temp: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path); err != nil {
-		return fmt.Errorf("monitor: publishing STH record: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Best-effort dir fsync, as for checkpoints.
-		d.Sync()
-		d.Close()
+	if err := durable.WriteFile(s.Path, buf); err != nil {
+		return fmt.Errorf("monitor: saving STH record: %w", err)
 	}
 	return nil
 }

@@ -1,13 +1,16 @@
 // Package pipeline is the parallel streaming measurement pipeline for
 // the RQ1 hot path: generate → build/parse → lint → aggregate over the
-// synthetic CT corpus. Generation and linting are fused into one worker
-// stage — each worker takes a slot index off a bounded queue, derives
-// the slot's certificates from its (seed, index) RNG stream (the
-// build/parse step rides inside corpus.Generator.GenerateSlot), lints
-// them in place, and writes the result into its pre-assigned output
-// cell. Fusing the stages keeps a certificate on one core from DER
-// build through lint findings, so no cross-stage channel ever carries
-// parsed-certificate payloads.
+// synthetic CT corpus. Generation and linting are fused into one
+// per-slot step: a worker takes a slot index off the bounded queue of
+// parallelIndexed, the package's one goroutine fan-out, derives the
+// slot's certificates from its (seed, index) RNG stream (the
+// build/parse step rides inside corpus.Generator.GenerateSlot), and
+// lints them in place. Measure writes each slot's output into its
+// pre-assigned cell and assembles the corpus in slot order;
+// MeasureStream folds each slot and recycles it; LintDERs runs the same
+// fan-out over caller-supplied DER. Fusing the stages keeps a
+// certificate on one core from DER build through lint findings, so no
+// cross-stage channel ever carries parsed-certificate payloads.
 //
 // Determinism: because every slot's bytes depend only on (cfg.Seed,
 // slot index) and collection is by slot index, the output is
@@ -27,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,18 +45,9 @@ type Config struct {
 	// Workers is the number of fused generate→lint workers; 0 or
 	// negative means runtime.NumCPU().
 	Workers int
-	// Queue bounds the slot-index feed queue; 0 means 4× workers. A
-	// bounded queue keeps the feeder from racing ahead of slow workers
-	// without idling fast ones.
-	Queue int
 	// Obs receives the pipeline instruments. Nil means a private
 	// throwaway registry: Stats still works, nothing is exposed.
 	Obs *obs.Registry
-	// Progress, when non-nil, receives a Stats snapshot every
-	// ProgressEvery (default 1s) while Measure runs — the hook for
-	// observability layers.
-	Progress      func(Stats)
-	ProgressEvery time.Duration
 	// Journal, when non-nil, receives a pipeline.quarantine event for
 	// every generate/lint panic contained to one item.
 	Journal *obs.Journal
@@ -68,13 +63,6 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
-func (c Config) queue(workers int) int {
-	if c.Queue > 0 {
-		return c.Queue
-	}
-	return 4 * workers
-}
-
 // metrics holds the run's obs instrument handles, resolved once so the
 // worker loop pays only atomic ops. Counters are registry-lifetime
 // (scrapes see totals across runs); the gen0/lint0 baselines make
@@ -84,7 +72,6 @@ type metrics struct {
 	linted      *obs.Counter   // pipeline_linted_total
 	quarantined *obs.Counter   // pipeline_quarantined_total
 	inFlight    *obs.Gauge     // pipeline_in_flight
-	queueDepth  *obs.Gauge     // pipeline_queue_depth
 	certsPerSec *obs.Gauge     // pipeline_certs_per_sec
 	genSeconds  *obs.Histogram // pipeline_slot_generate_seconds
 	lintSeconds *obs.Histogram // pipeline_slot_lint_seconds
@@ -106,7 +93,6 @@ func newMetrics(pc Config) *metrics {
 	reg.Help("pipeline_linted_total", "Certificates linted.")
 	reg.Help("pipeline_quarantined_total", "Generate/lint panics contained to one item instead of killing the run.")
 	reg.Help("pipeline_in_flight", "Slots currently inside a worker.")
-	reg.Help("pipeline_queue_depth", "Slot indices waiting in the bounded feed queue.")
 	reg.Help("pipeline_certs_per_sec", "Linted certificates per second of wall clock, this run.")
 	reg.Help("pipeline_slot_generate_seconds", "Per-slot generate (build+sign+parse) latency.")
 	reg.Help("pipeline_slot_lint_seconds", "Per-slot lint latency.")
@@ -115,7 +101,6 @@ func newMetrics(pc Config) *metrics {
 		linted:      reg.Counter("pipeline_linted_total"),
 		quarantined: reg.Counter("pipeline_quarantined_total"),
 		inFlight:    reg.Gauge("pipeline_in_flight"),
-		queueDepth:  reg.Gauge("pipeline_queue_depth"),
 		certsPerSec: reg.Gauge("pipeline_certs_per_sec"),
 		genSeconds:  reg.Histogram("pipeline_slot_generate_seconds", nil),
 		lintSeconds: reg.Histogram("pipeline_slot_lint_seconds", nil),
@@ -150,12 +135,11 @@ type Stats struct {
 	Linted      uint64 // certificates linted
 	Quarantined uint64 // generate/lint panics contained per item
 	InFlight    int64  // slots being processed right now
-	QueueDepth  int    // slot indices waiting in the bounded queue
 	Elapsed     time.Duration
 	CertsPerSec float64 // linted certificates per second of wall clock
 }
 
-func (m *metrics) snapshot(workers, queueDepth int) Stats {
+func (m *metrics) snapshot(workers int) Stats {
 	elapsed := time.Since(m.start)
 	s := Stats{
 		Workers:     workers,
@@ -163,14 +147,12 @@ func (m *metrics) snapshot(workers, queueDepth int) Stats {
 		Linted:      m.linted.Value() - m.lint0,
 		Quarantined: m.quarantined.Value() - m.quar0,
 		InFlight:    int64(m.inFlight.Value()),
-		QueueDepth:  queueDepth,
 		Elapsed:     elapsed,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		s.CertsPerSec = float64(s.Linted) / secs
 	}
-	// Mirror the derived values into gauges so a scrape sees them too.
-	m.queueDepth.Set(float64(queueDepth))
+	// Mirror the derived rate into a gauge so a scrape sees it too.
 	m.certsPerSec.Set(s.CertsPerSec)
 	return s
 }
@@ -226,6 +208,56 @@ func runLintSafe(reg *lint.Registry, c *x509cert.Certificate, opts lint.Options)
 	return reg.Run(c, opts), nil
 }
 
+// slotOutput is one slot's generate→lint output.
+type slotOutput struct {
+	slot        *corpus.Slot       // nil when generation panicked
+	results     []*lint.CertResult // parallel to slot.Entries
+	quarantined []Quarantine       // Index is slot-local; -1 for a generate panic
+}
+
+// measureSlot is the per-slot step behind Measure and MeasureStream:
+// contained generate, generate-panic quarantine, runLintSafe over every
+// entry (appending to results[:0]), and the counter/histogram updates.
+// A quarantined lint leaves its valid empty CertResult in the cell. A
+// clean generator error is returned: it is a configuration problem,
+// whereas a panic is a hostile input contained to the slot.
+func (m *metrics) measureSlot(gen *corpus.Generator, reg *lint.Registry, opts lint.Options, i int, results []*lint.CertResult) (slotOutput, error) {
+	m.inFlight.Add(1)
+	defer m.inFlight.Add(-1)
+	tGen := time.Now()
+	s, err, panicked := safeGenerateSlot(gen, i)
+	if err != nil {
+		if !panicked {
+			return slotOutput{}, err
+		}
+		m.quarantine(i, -1, "generate")
+		return slotOutput{quarantined: []Quarantine{{Slot: i, Index: -1, Stage: "generate", Err: err}}}, nil
+	}
+	m.genSeconds.Observe(time.Since(tGen).Seconds())
+	n := len(s.Entries)
+	if s.Precert != nil {
+		n++
+	}
+	m.generated.Add(uint64(n))
+	tLint := time.Now()
+	out := slotOutput{slot: s, results: slices.Grow(results[:0], len(s.Entries))}
+	for j, e := range s.Entries {
+		r, lerr := runLintSafe(reg, e.Cert, opts)
+		out.results = append(out.results, r)
+		if lerr != nil {
+			m.quarantine(i, j, "lint")
+			out.quarantined = append(out.quarantined, Quarantine{Slot: i, Index: j, Stage: "lint", Err: lerr})
+		}
+	}
+	m.lintSeconds.Observe(time.Since(tLint).Seconds())
+	m.linted.Add(uint64(len(s.Entries)))
+	return out, nil
+}
+
+// resultBufs recycles MeasureStream's per-slot result slices, which
+// are dead once fold returns.
+var resultBufs = sync.Pool{New: func() any { return new([]*lint.CertResult) }}
+
 // MeasureStream runs the fused generate→lint pipeline without
 // retaining the corpus: each slot is linted, handed to fold, and then
 // recycled via corpus.ReleaseSlot, so a steady-state run holds
@@ -235,99 +267,40 @@ func runLintSafe(reg *lint.Registry, c *x509cert.Certificate, opts lint.Options)
 // fold is called from worker goroutines one at a time (a mutex
 // serializes it) in arbitrary slot order. results is parallel to
 // s.Entries; a nil element marks a certificate whose lint run panicked
-// (it is also reported in the returned quarantine count via Stats).
-// fold must copy out whatever it aggregates: the slot, its entries,
-// certificates, DER slices, memoized views, and results are all
-// invalid — owned by future slots — the moment fold returns. A non-nil
-// error from fold cancels the run.
+// (it is also reported in the returned quarantine count via Stats). A
+// slot whose generation panicked is counted the same way and never
+// reaches fold. fold must copy out whatever it aggregates: the slot,
+// its entries, certificates, DER slices, memoized views, and results
+// are all invalid — owned by future slots — the moment fold returns. A
+// non-nil error from fold cancels the run.
 func MeasureStream(ctx context.Context, cfg corpus.Config, reg *lint.Registry, opts lint.Options, pc Config, fold func(slot int, s *corpus.Slot, results []*lint.CertResult) error) (Stats, error) {
 	gen, err := corpus.NewGenerator(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	workers := pc.workers()
 	ctr := newMetrics(pc)
-
-	jobs := make(chan int, pc.queue(workers))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		foldMu   sync.Mutex
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var results []*lint.CertResult // reused across slots
-			for i := range jobs {
-				ctr.inFlight.Add(1)
-				tGen := time.Now()
-				s, err, panicked := safeGenerateSlot(gen, i)
-				if err != nil {
-					ctr.inFlight.Add(-1)
-					if !panicked {
-						fail(err)
-						return
-					}
-					ctr.quarantine(i, -1, "generate")
-					continue
-				}
-				ctr.genSeconds.Observe(time.Since(tGen).Seconds())
-				n := len(s.Entries)
-				if s.Precert != nil {
-					n++
-				}
-				ctr.generated.Add(uint64(n))
-				tLint := time.Now()
-				results = results[:0]
-				for j, e := range s.Entries {
-					r, lerr := runLintSafe(reg, e.Cert, opts)
-					if lerr != nil {
-						ctr.quarantine(i, j, "lint")
-						r = nil
-					}
-					results = append(results, r)
-				}
-				ctr.lintSeconds.Observe(time.Since(tLint).Seconds())
-				ctr.linted.Add(uint64(len(s.Entries)))
-				foldMu.Lock()
-				ferr := fold(i, s, results)
-				foldMu.Unlock()
-				corpus.ReleaseSlot(s)
-				ctr.inFlight.Add(-1)
-				if ferr != nil {
-					fail(ferr)
-					return
-				}
-			}
-		}()
-	}
-
-feedStream:
-	for i := 0; i < gen.Slots(); i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feedStream
+	var foldMu sync.Mutex
+	err = parallelIndexed(ctx, gen.Slots(), pc, func(i int) error {
+		buf := resultBufs.Get().(*[]*lint.CertResult)
+		defer resultBufs.Put(buf)
+		out, err := ctr.measureSlot(gen, reg, opts, i, *buf)
+		if err != nil || out.slot == nil {
+			return err
 		}
+		*buf = out.results
+		for _, q := range out.quarantined {
+			out.results[q.Index] = nil
+		}
+		foldMu.Lock()
+		err = fold(i, out.slot, out.results)
+		foldMu.Unlock()
+		corpus.ReleaseSlot(out.slot)
+		return err
+	})
+	if err != nil {
+		return Stats{}, err
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{}, firstErr
-	}
-	return ctr.snapshot(workers, 0), nil
+	return ctr.snapshot(pc.workers()), nil
 }
 
 // Measure generates the corpus for cfg and lints every entry, fanned
@@ -340,117 +313,23 @@ func Measure(ctx context.Context, cfg corpus.Config, reg *lint.Registry, opts li
 	if err != nil {
 		return nil, err
 	}
-	workers := pc.workers()
 	ctr := newMetrics(pc)
-
-	type slotResult struct {
-		slot        *corpus.Slot
-		results     []*lint.CertResult // parallel to slot.Entries
-		quarantined []Quarantine       // Index holds the slot-local entry index until aggregation
-	}
-	outs := make([]slotResult, gen.Slots())
-
-	jobs := make(chan int, pc.queue(workers))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	if pc.Progress != nil {
-		every := pc.ProgressEvery
-		if every <= 0 {
-			every = time.Second
+	// Disjoint per-slot cells; parallelIndexed's wg.Wait orders these
+	// writes before the aggregation below.
+	outs := make([]slotOutput, gen.Slots())
+	err = parallelIndexed(ctx, gen.Slots(), pc, func(i int) error {
+		out, err := ctr.measureSlot(gen, reg, opts, i, nil)
+		if err != nil {
+			return err
 		}
-		progressDone := make(chan struct{})
-		defer close(progressDone)
-		go func() {
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					pc.Progress(ctr.snapshot(workers, len(jobs)))
-				case <-progressDone:
-					return
-				}
-			}
-		}()
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ctr.inFlight.Add(1)
-				tGen := time.Now()
-				s, err, panicked := safeGenerateSlot(gen, i)
-				if err != nil {
-					if !panicked {
-						// A clean generator error is a configuration
-						// problem; panics are hostile inputs and are
-						// contained to the slot.
-						ctr.inFlight.Add(-1)
-						fail(err)
-						return
-					}
-					ctr.quarantine(i, -1, "generate")
-					outs[i] = slotResult{
-						slot:        &corpus.Slot{},
-						quarantined: []Quarantine{{Slot: i, Index: -1, Stage: "generate", Err: err}},
-					}
-					ctr.inFlight.Add(-1)
-					continue
-				}
-				ctr.genSeconds.Observe(time.Since(tGen).Seconds())
-				n := len(s.Entries)
-				if s.Precert != nil {
-					n++
-				}
-				ctr.generated.Add(uint64(n))
-				tLint := time.Now()
-				res := make([]*lint.CertResult, len(s.Entries))
-				var quar []Quarantine
-				for j, e := range s.Entries {
-					r, lerr := runLintSafe(reg, e.Cert, opts)
-					res[j] = r
-					if lerr != nil {
-						ctr.quarantine(i, j, "lint")
-						quar = append(quar, Quarantine{Slot: i, Index: j, Stage: "lint", Err: lerr})
-					}
-				}
-				ctr.lintSeconds.Observe(time.Since(tLint).Seconds())
-				ctr.linted.Add(uint64(len(s.Entries)))
-				// Disjoint per-slot cells; wg.Wait orders these writes
-				// before the aggregation below.
-				outs[i] = slotResult{slot: s, results: res, quarantined: quar}
-				ctr.inFlight.Add(-1)
-			}
-		}()
-	}
-
-feed:
-	for i := 0; i < gen.Slots(); i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
+		if out.slot == nil {
+			out.slot = &corpus.Slot{} // generation panicked: an empty, quarantined slot
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		outs[i] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate in slot order. Truncation to cfg.Size is mirrored from
@@ -475,29 +354,7 @@ feed:
 	if len(m.Results) > len(m.Corpus.Entries) {
 		m.Results = m.Results[:len(m.Corpus.Entries)]
 	}
-	return &Result{Measurement: m, Stats: ctr.snapshot(workers, 0), Quarantines: quarantines}, nil
-}
-
-// LintCorpus lints an already-generated corpus across workers; the
-// results are identical and order-stable versus corpus.RunLinter. It is
-// the pipeline's lint stage alone, for callers that already hold
-// parsed entries.
-func LintCorpus(ctx context.Context, c *corpus.Corpus, reg *lint.Registry, opts lint.Options, pc Config) (*corpus.Measurement, error) {
-	m := &corpus.Measurement{Corpus: c, Results: make([]*lint.CertResult, len(c.Entries))}
-	err := parallelIndexed(ctx, len(c.Entries), pc, func(i int) error {
-		r, lerr := runLintSafe(reg, c.Entries[i].Cert, opts)
-		if lerr != nil {
-			// Surface the panic as a clean per-certificate error so the
-			// caller sees which input was hostile.
-			return fmt.Errorf("certificate %d: %w", i, lerr)
-		}
-		m.Results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return &Result{Measurement: m, Stats: ctr.snapshot(pc.workers()), Quarantines: quarantines}, nil
 }
 
 // LintDERs parses (leniently) and lints raw DER certificates across
@@ -525,9 +382,11 @@ func LintDERs(ctx context.Context, ders [][]byte, reg *lint.Registry, opts lint.
 	return out, nil
 }
 
-// parallelIndexed runs fn(i) for i in [0, n) across pc workers with a
-// bounded feed queue and context cancellation. Each index is processed
-// exactly once; the first error cancels the run.
+// parallelIndexed is the package's one goroutine fan-out: it runs fn(i)
+// for i in [0, n) across pc workers, fed through a bounded queue of 4×
+// workers (enough to keep fast workers busy without letting the feeder
+// race ahead of slow ones), with context cancellation. Each index is
+// processed at most once; the first error cancels the run.
 func parallelIndexed(ctx context.Context, n int, pc Config, fn func(int) error) error {
 	workers := pc.workers()
 	if workers > n {
@@ -544,7 +403,7 @@ func parallelIndexed(ctx context.Context, n int, pc Config, fn func(int) error) 
 		}
 		return nil
 	}
-	jobs := make(chan int, pc.queue(workers))
+	jobs := make(chan int, 4*workers)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (

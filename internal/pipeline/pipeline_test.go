@@ -98,32 +98,6 @@ func ncFilter(m *corpus.Measurement) []int {
 	return m.ValidityCDF(func(i int, e *corpus.Entry) bool { return m.Noncompliant(i) })
 }
 
-// TestLintCorpusMatchesSequential replaces the retired
-// corpus.RunLinterParallel test: the pipeline's lint-only stage must be
-// result-identical and order-stable versus corpus.RunLinter.
-func TestLintCorpusMatchesSequential(t *testing.T) {
-	c, err := corpus.Generate(corpus.Config{Size: 400, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := corpus.RunLinter(c, lint.Global, lint.Options{})
-	par, err := LintCorpus(context.Background(), c, lint.Global, lint.Options{}, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.NCCount() != par.NCCount() {
-		t.Fatalf("NC counts differ: %d vs %d", seq.NCCount(), par.NCCount())
-	}
-	for i := range seq.Results {
-		if seq.Results[i].Noncompliant() != par.Results[i].Noncompliant() {
-			t.Fatalf("entry %d verdict differs", i)
-		}
-		if len(seq.Results[i].Findings) != len(par.Results[i].Findings) {
-			t.Fatalf("entry %d finding count differs", i)
-		}
-	}
-}
-
 func TestLintDERsOrderAndErrors(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Size: 30, Seed: 5})
 	if err != nil {
@@ -230,12 +204,14 @@ func panickingRegistry(t *testing.T, every int) *lint.Registry {
 }
 
 // TestMeasureQuarantinesPanickingLint: a lint that panics on some
-// certificates must not kill Measure; the affected items are
-// quarantined with their indexes, everything else lints normally.
+// certificates must not kill Measure or MeasureStream; the affected
+// items are quarantined with their indexes, everything else lints
+// normally.
 func TestMeasureQuarantinesPanickingLint(t *testing.T) {
 	const size = 120
+	cfg := corpus.Config{Size: size, Seed: 17}
 	reg := obs.NewRegistry()
-	res, err := Measure(context.Background(), corpus.Config{Size: size, Seed: 17}, panickingRegistry(t, 10), lint.Options{}, Config{Workers: 4, Obs: reg})
+	res, err := Measure(context.Background(), cfg, panickingRegistry(t, 10), lint.Options{}, Config{Workers: 4, Obs: reg})
 	if err != nil {
 		t.Fatalf("panicking lint killed the run: %v", err)
 	}
@@ -286,10 +262,41 @@ func TestMeasureQuarantinesPanickingLint(t *testing.T) {
 			t.Fatalf("healthy certificate %d verdict changed by quarantine machinery", i)
 		}
 	}
+
+	// The streaming driver quarantines the same way but hands each
+	// quarantined cell to fold as nil.
+	streamReg := obs.NewRegistry()
+	var nils, empties uint64
+	stats, err := MeasureStream(context.Background(), cfg, panickingRegistry(t, 10), lint.Options{}, Config{Workers: 4, Obs: streamReg},
+		func(slot int, s *corpus.Slot, results []*lint.CertResult) error {
+			for _, r := range results {
+				if r == nil {
+					nils++
+				} else if len(r.Findings) == 0 {
+					empties++
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("panicking lint killed the stream: %v", err)
+	}
+	if nils == 0 {
+		t.Fatal("no quarantined cell reached fold as nil")
+	}
+	if empties != 0 {
+		t.Fatalf("%d quarantined cells reached fold as empty results instead of nil", empties)
+	}
+	if stats.Quarantined != nils {
+		t.Fatalf("stream Stats.Quarantined = %d, nil cells = %d", stats.Quarantined, nils)
+	}
+	if got := streamReg.Counter("pipeline_quarantined_total").Value(); got != nils {
+		t.Fatalf("stream pipeline_quarantined_total = %d, nil cells = %d", got, nils)
+	}
 }
 
-// TestLintDERsPanickingLintErrorsWithIndex: the lint-only entry points
-// surface a panicking lint as a per-certificate error naming the
+// TestLintDERsPanickingLintErrorsWithIndex: the lint-only entry point
+// surfaces a panicking lint as a per-certificate error naming the
 // input, instead of a process panic.
 func TestLintDERsPanickingLintErrorsWithIndex(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{Size: 8, Seed: 5})
@@ -306,9 +313,6 @@ func TestLintDERsPanickingLintErrorsWithIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "certificate ") || !strings.Contains(err.Error(), "lint panicked") {
 		t.Fatalf("error lacks certificate index context: %v", err)
-	}
-	if _, err := LintCorpus(context.Background(), c, panickingRegistry(t, 1), lint.Options{}, Config{Workers: 2}); err == nil {
-		t.Fatal("LintCorpus must surface the panic as an error too")
 	}
 }
 

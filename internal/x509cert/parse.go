@@ -16,9 +16,10 @@ var certPool = sync.Pool{New: func() any { return new(Certificate) }}
 // ReleaseCertificate returns a parsed certificate to the reuse pool.
 // The caller must hold the only reference: after release every field —
 // including memoized slices handed out by AllAttributes, DNSNames, and
-// friends — belongs to a future parse. Only steady-state pipelines
-// (pipeline.MeasureStream) should bother; one-shot callers can let the
-// garbage collector do its job.
+// friends — belongs to a future parse. Only steady-state consumers
+// should bother: corpus.ReleaseSlot does, and pipeline.MeasureStream
+// calls it on each slot once fold returns. One-shot callers can let
+// the garbage collector do its job.
 func ReleaseCertificate(c *Certificate) {
 	if c == nil {
 		return
