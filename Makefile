@@ -22,7 +22,7 @@ BENCH_ROUNDS ?= 3
 # Address the smoke-metrics crawl serves its /metrics endpoint on.
 SMOKE_METRICS_ADDR ?= 127.0.0.1:19321
 
-.PHONY: build vet perfbench-vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet
+.PHONY: build vet perfbench-vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet soak-kill
 build:
 	$(GO) build ./...
 
@@ -51,12 +51,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzProofVerification' -fuzztime $(FUZZ_TIME) ./internal/ctlog
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexLookup' -fuzztime $(FUZZ_TIME) ./internal/index
 
-check: build vet perfbench-vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet
+check: build vet perfbench-vet test race fuzz allocguard obs-lint smoke-metrics soak-fleet soak-kill
 
 # bench runs the end-to-end pipeline benchmarks (1 iteration each at
 # paper scale), the streaming slot-recycling variant, the per-stage
 # generate/lint benchmarks, the registry allocation guard, the
-# fleet-crawl throughput benchmark, the certificate-index T1–T5
+# fleet-crawl throughput benchmark and its group-commit variants
+# (audited with STH anchors, and flushing a real LSM per commit, each
+# at a 100 ms and a 1 s commit interval: entries/s and commits/op),
+# the certificate-index T1–T5
 # query grid (point / prefix / range / ingest / mixed, LSM vs B+tree)
 # plus the LSM 8-segment compaction,
 # the ctlog T6 write grid (baseline parse+SCT / pre-parsed SCT /
@@ -71,7 +74,7 @@ bench:
 		-bench 'MeasureCorpusE2E|MeasureCorpusStreamE2E|PipelineGenerateOnly|PipelineLintOnly' \
 		-benchtime 1x -benchmem . ; \
 	    $(GO) test -run '^$$' -bench 'RegistryRun' -benchmem ./internal/lint ; \
-	    $(GO) test -run '^$$' -bench 'FleetCrawl' -benchtime 5x ./internal/fleet ; \
+	    $(GO) test -run '^$$' -bench 'FleetCrawl(Commit)?$$' -benchtime 5x ./internal/fleet ; \
 	    $(GO) test -run '^$$' -bench 'Index(Point|Prefix|Range|Ingest|Mixed|Compact)' \
 		-benchmem ./internal/index ; \
 	    $(GO) test -run '^$$' -bench 'Write(Baseline|PerEntry|Batched)|LogProve(STH|Consistency|Inclusion)' \
@@ -145,3 +148,12 @@ soak:
 # degraded without dying.
 soak-fleet:
 	./scripts/soak_fleet.sh
+
+# soak-kill SIGKILLs a throttled two-log audited fleet crawl at several
+# seeded random moments, restarting it after each kill, lets the last
+# run finish, and requires its index to hold exactly the certificates
+# of an uninterrupted reference crawl (distinct leaf hashes == unique
+# entries): no checkpoint may be committed past an entry a kill can
+# still lose.
+soak-kill:
+	./scripts/soak_kill.sh

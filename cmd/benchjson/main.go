@@ -39,6 +39,7 @@ type sample struct {
 	allocsPerOp   float64
 	certsPerSec   float64
 	entriesPerSec float64
+	commitsPerOp  float64
 }
 
 // Benchmark aggregates every round of one benchmark. The headline
@@ -57,6 +58,9 @@ type Benchmark struct {
 	// EntriesPerSec is the fleet-crawl throughput: unique CT entries
 	// delivered downstream per second, summed across all logs.
 	EntriesPerSec float64 `json:"entries_per_sec,omitempty"`
+	// CommitsPerOp is the fleet group-commit count per crawl (the
+	// FleetCrawlCommit variants), read next to EntriesPerSec.
+	CommitsPerOp float64 `json:"commits_per_op,omitempty"`
 	// AllocsPerCert and BytesPerCert are derived for benchmarks that
 	// report certs/s: per-op cost divided by certs per op
 	// (certs_per_sec × ns_per_op / 1e9). These are the numbers the
@@ -179,7 +183,7 @@ func aggregate(samples []sample) []Benchmark {
 	for _, name := range order {
 		group := byName[name]
 		b := Benchmark{Name: name, Rounds: len(group)}
-		var ns, bytes, allocs, certs, entries []float64
+		var ns, bytes, allocs, certs, entries, commits []float64
 		for _, s := range group {
 			if s.iterations > b.Iterations {
 				b.Iterations = s.iterations
@@ -189,6 +193,7 @@ func aggregate(samples []sample) []Benchmark {
 			allocs = append(allocs, s.allocsPerOp)
 			certs = append(certs, s.certsPerSec)
 			entries = append(entries, s.entriesPerSec)
+			commits = append(commits, s.commitsPerOp)
 		}
 		b.NsPerOp = median(ns)
 		if len(ns) > 1 {
@@ -199,6 +204,7 @@ func aggregate(samples []sample) []Benchmark {
 		b.AllocsPerOp = median(allocs)
 		b.CertsPerSec = median(certs)
 		b.EntriesPerSec = median(entries)
+		b.CommitsPerOp = median(commits)
 		derivePerCert(&b)
 		out = append(out, b)
 	}
@@ -365,6 +371,8 @@ func parseBenchLine(line string) (sample, bool) {
 			s.certsPerSec = v
 		case "entries/s":
 			s.entriesPerSec = v
+		case "commits/op":
+			s.commitsPerOp = v
 		}
 	}
 	if s.nsPerOp == 0 {

@@ -343,6 +343,13 @@ func runFleet(ctx context.Context, out io.Writer, reg *obs.Registry, tracer *obs
 		}
 	}
 
+	// Each group commit flushes the index before any checkpoint moves,
+	// so a checkpoint never points past a certificate a SIGKILL could
+	// still take out of the memtable.
+	var commit func() error
+	if ix != nil {
+		commit = ix.Flush
+	}
 	coord, err := fleet.New(fleet.Config{
 		Logs:          fleetSpecs,
 		CheckpointDir: p.checkpointDir,
@@ -352,6 +359,7 @@ func runFleet(ctx context.Context, out io.Writer, reg *obs.Registry, tracer *obs
 		QueueDepth:    p.queueDepth,
 		StallAfter:    p.stallAfter,
 		HandleSourced: handle,
+		Commit:        commit,
 		Obs:           reg,
 		Tracer:        tracer,
 		Journal:       p.journal,
@@ -456,12 +464,12 @@ func runFleet(ctx context.Context, out io.Writer, reg *obs.Registry, tracer *obs
 		fmt.Fprintf(os.Stderr, "ctmonitor: fleet: %v\n", err)
 		return 1
 	}
-	// Run has drained the feed, so every unique entry has been Put; a
-	// flush here seals them into a segment before the process exits —
-	// this is the zero-loss half of the SIGTERM contract the soak
-	// checks. Close is deferred before the query server finishes
-	// draining, which is safe: Close seals the memtable and keeps the
-	// segment set readable, so late queries still see every record.
+	// Run has drained the feed and its last group commit has flushed
+	// every Put; this flush covers a run without checkpoints (no commit
+	// ran) and a last commit whose flush failed. Close is deferred
+	// before the query server finishes draining, which is safe: Close
+	// seals the memtable and keeps the segment set readable, so late
+	// queries still see every record.
 	if ix != nil {
 		if err := ix.Flush(); err != nil {
 			fmt.Fprintf(os.Stderr, "ctmonitor: index flush: %v\n", err)

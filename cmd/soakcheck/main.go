@@ -26,9 +26,15 @@
 // EXACTLY, proving the journal records every crawl outcome including
 // interrupted ones.
 //
+// With -kill it checks the SIGKILL soak (scripts/soak_kill.sh): an
+// uninterrupted reference crawl and the final run of a repeatedly
+// SIGKILLed crawl, whose indexes must hold the same certificates. See
+// kill.go.
+//
 // Usage:
 //
 //	soakcheck [-fleet] [-journal1 run1.jsonl -journal2 run2.jsonl] run1.json run2.json
+//	soakcheck -kill -ref-index DIR -index DIR reference.json final.json
 package main
 
 import (
@@ -57,10 +63,17 @@ func main() {
 	fleetMode := flag.Bool("fleet", false, "check a fleet-mode soak (ctmonitor -logs stats-json schema)")
 	journal1 := flag.String("journal1", "", "fleet mode: run 1's -journal JSONL file to replay against its stats")
 	journal2 := flag.String("journal2", "", "fleet mode: run 2's -journal JSONL file to replay against its stats")
+	killMode := flag.Bool("kill", false, "check a SIGKILL soak: reference.json final.json plus -ref-index and -index")
+	refIndex := flag.String("ref-index", "", "kill mode: index directory of the uninterrupted reference run")
+	killIndex := flag.String("index", "", "kill mode: index directory of the killed and restarted runs")
 	flag.Parse()
-	if flag.NArg() != 2 {
+	if flag.NArg() != 2 || (*killMode && (*refIndex == "" || *killIndex == "")) {
 		fmt.Fprintln(os.Stderr, "usage: soakcheck [-fleet] [-journal1 run1.jsonl -journal2 run2.jsonl] run1.json run2.json")
+		fmt.Fprintln(os.Stderr, "       soakcheck -kill -ref-index DIR -index DIR reference.json final.json")
 		os.Exit(2)
+	}
+	if *killMode {
+		os.Exit(checkKill(flag.Arg(0), flag.Arg(1), *refIndex, *killIndex))
 	}
 	if *fleetMode {
 		os.Exit(checkFleet(flag.Arg(0), flag.Arg(1), *journal1, *journal2))

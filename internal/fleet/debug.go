@@ -2,11 +2,12 @@ package fleet
 
 // The /debug/fleet endpoint: one page that answers "what is the fleet
 // doing right now" without grepping logs — per-log health, breaker
-// state, checkpoint progress and age, dedup counters, active SLO
-// burns, and the tail of the flight recorder. JSON by default (for
-// tooling and the soak harness); a minimal HTML table when the client
-// asks for it (Accept: text/html or ?format=html), because the first
-// consumer of a debug page is a human with a browser.
+// state, checkpoint progress and age, the committed (durable) position
+// beside the crawl's, dedup counters, active SLO burns, and the tail
+// of the flight recorder. JSON by default (for tooling and the soak
+// harness); a minimal HTML table when the client asks for it (Accept:
+// text/html or ?format=html), because the first consumer of a debug
+// page is a human with a browser.
 
 import (
 	"encoding/json"
@@ -27,6 +28,7 @@ type debugLog struct {
 	State         string     `json:"state"`
 	Breaker       string     `json:"breaker"`
 	Checkpoint    int64      `json:"checkpoint"`
+	Committed     int        `json:"committed"`
 	CheckpointAge float64    `json:"checkpoint_age_seconds"`
 	Restarts      int        `json:"restarts"`
 	Done          bool       `json:"done"`
@@ -81,6 +83,7 @@ func (c *Coordinator) debugReport(slo *obs.SLOEngine, flight *obs.Flight) debugR
 			State:         State(w.state.Load()).String(),
 			Breaker:       ctlog.BreakerStateName(w.spec.Client.Breaker.State()),
 			Checkpoint:    w.checkpoint.Load(),
+			Committed:     w.mon.Committed(),
 			CheckpointAge: w.checkpointAge().Seconds(),
 			Restarts:      int(w.restarts.Load()),
 			Done:          w.done.Load(),
@@ -148,10 +151,10 @@ func writeDebugHTML(w http.ResponseWriter, rep debugReport) {
 	p("<h1>fleet: %s</h1>\n", esc(rep.FleetState))
 	p("<p>now=%s quorum=%d unique=%d deduped=%d ready=%s</p>\n",
 		esc(rep.Now), rep.Quorum, rep.Unique, rep.Deduped, esc(rep.Ready))
-	p("<h2>logs</h2>\n<table><tr><th>log</th><th>state</th><th>breaker</th><th>checkpoint</th><th>age (s)</th><th>restarts</th><th>fetched</th><th>deduped</th><th>quarantined</th><th>skipped</th><th>err</th></tr>\n")
+	p("<h2>logs</h2>\n<table><tr><th>log</th><th>state</th><th>breaker</th><th>checkpoint</th><th>committed</th><th>age (s)</th><th>restarts</th><th>fetched</th><th>deduped</th><th>quarantined</th><th>skipped</th><th>err</th></tr>\n")
 	for _, l := range rep.Logs {
-		p("<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>\n",
-			esc(l.Name), esc(l.State), esc(l.Breaker), l.Checkpoint, l.CheckpointAge,
+		p("<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>\n",
+			esc(l.Name), esc(l.State), esc(l.Breaker), l.Checkpoint, l.Committed, l.CheckpointAge,
 			l.Restarts, l.Stats.Fetched, l.Stats.Deduped, l.Stats.Quarantined,
 			l.Stats.Skipped, esc(l.Err))
 	}

@@ -13,6 +13,14 @@ package fleet
 // certificates (the normal case: CAs submit to several logs) are
 // indexed once.
 //
+// Progress is group-committed. The crawls only stage their positions;
+// one committer goroutine, about once a second and once more after the
+// feed drains, reads each log's cut — the newest staged position whose
+// forwarded entries the consumer has all handled — runs Config.Commit
+// to make that handled work durable, and only then writes each log's
+// verified-head anchor and checkpoint. A checkpoint therefore never
+// points past an entry that a crash could still lose.
+//
 // Health is evaluated by ONE goroutine on a timer, never by the
 // workers themselves, so state transitions are counted exactly once:
 // per log, healthy → degraded (breaker open or restarts accumulating)
@@ -84,8 +92,6 @@ type LogSpec struct {
 	Client *ctlog.Client
 	// Batch is the per-request entry window (default 64).
 	Batch int
-	// CheckpointPath overrides Config.CheckpointDir/<Name>.ckpt.
-	CheckpointPath string
 }
 
 // Config tunes a Coordinator. Logs is required; everything else has
@@ -94,7 +100,7 @@ type Config struct {
 	Logs []LogSpec
 	// CheckpointDir is where per-log checkpoint files live (one file
 	// per log, <dir>/<name>.ckpt, advisory-locked). Empty disables
-	// persistence for specs without an explicit CheckpointPath.
+	// checkpoint persistence.
 	CheckpointDir string
 	// Quorum is how many logs must be non-stalled for the fleet to be
 	// ready (default: majority, N/2+1).
@@ -130,11 +136,20 @@ type Config struct {
 	// the cross-log provenance consumers like the certificate index
 	// record. Called serially from the same goroutine as Handle.
 	HandleSourced func(log string, e ctlog.Entry)
+	// Commit, when non-nil, makes durable everything Handle and
+	// HandleSourced have done so far (cmd/ctmonitor flushes its index).
+	// Each group commit calls it once, after reading every log's cut and
+	// before writing any anchor or checkpoint. An error fails that
+	// commit — counted in SyncStats.CheckpointErrors and
+	// monitor_checkpoint_persist_errors_total, journaled — and the
+	// staged positions wait for the next commit; the crawls go on.
+	Commit func() error
 	// Obs, when non-nil, receives the fleet instruments:
 	// fleet_log_state{log}, fleet_state, fleet_state_transitions_total,
 	// fleet_log_restarts_total{log}, fleet_log_checkpoint{log},
-	// fleet_entries_unique_total, fleet_entries_deduped_total, and the
-	// fleet_feed_* backpressure series.
+	// fleet_log_committed{log}, fleet_entries_unique_total,
+	// fleet_entries_deduped_total, the fleet_feed_* backpressure
+	// series, and monitor_checkpoint_persist_errors_total.
 	Obs *obs.Registry
 	// Tracer, when non-nil, is shared by all crawls.
 	Tracer *obs.Tracer
@@ -203,6 +218,12 @@ type worker struct {
 	spec  LogSpec
 	mon   *monitor.Monitor // crawl cursor only; entries route through the sink
 	store *monitor.LockedFileCheckpointStore
+	opts  monitor.SyncOptions // the crawl's options; commits publish through its stores
+
+	// handled counts this log's forwarded entries whose Handle and
+	// HandleSourced calls have returned; the commit cut compares it
+	// with the forwarded count each staged position carries.
+	handled atomic.Int64
 
 	state       atomic.Int32 // State; written only by the health evaluator
 	restarts    atomic.Int32
@@ -250,11 +271,15 @@ func (w *worker) snapshotStats() monitor.SyncStats {
 }
 
 // sourced is a feed element: one entry plus the log it came from, so
-// the consumer can hand provenance to the index.
+// the consumer can hand provenance to the index and count the entry
+// handled for that log's commit cut.
 type sourced struct {
-	log string
-	e   ctlog.Entry
+	w *worker
+	e ctlog.Entry
 }
+
+// commitInterval is the group-commit interval.
+const commitInterval = time.Second
 
 // Coordinator runs one crawl worker per configured log.
 type Coordinator struct {
@@ -265,12 +290,18 @@ type Coordinator struct {
 	dedupMu sync.Mutex
 	seen    map[ctlog.Hash]struct{}
 
+	// commitMu serializes group commits; commitEvery is their interval,
+	// commitInterval unless a test shortens it.
+	commitMu    sync.Mutex
+	commitEvery time.Duration
+
 	fleetState  atomic.Int32
 	unique      atomic.Int64
 	dups        atomic.Int64
 	stateGauge  *obs.Gauge
 	uniqueCtr   *obs.Counter
 	dedupedCtr  *obs.Counter
+	cpErrors    *obs.Counter
 	transitions map[State]*obs.Counter
 	ring        *obs.FlightRing
 }
@@ -282,7 +313,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fleet: no logs configured")
 	}
 	names := map[string]bool{}
-	c := &Coordinator{cfg: cfg, seen: make(map[ctlog.Hash]struct{})}
+	c := &Coordinator{cfg: cfg, seen: make(map[ctlog.Hash]struct{}), commitEvery: commitInterval}
 	for _, spec := range cfg.Logs {
 		if spec.Name == "" {
 			return nil, fmt.Errorf("fleet: log with empty name")
@@ -347,6 +378,8 @@ func (c *Coordinator) instrument() {
 	reg.Help("fleet_log_state_transitions_total", "Per-log health transitions by log and destination state.")
 	reg.Help("fleet_log_restarts_total", "Per-log supervised crawl restarts.")
 	reg.Help("fleet_log_checkpoint", "Per-log next index the crawl will fetch.")
+	reg.Help("fleet_log_committed", "Per-log next index of the last committed checkpoint; every entry below it is durable.")
+	reg.Help("monitor_checkpoint_persist_errors_total", "Checkpoint saves that failed (crawl continued).")
 	reg.Help("fleet_log_checkpoint_age_seconds", "Per-log seconds since the crawl last advanced; the freshness-SLO source.")
 	reg.Help("fleet_entries_unique_total", "First-seen entries delivered downstream (cross-log dedup winners).")
 	reg.Help("fleet_entries_deduped_total", "Cross-log duplicate entries dropped at the fleet sink.")
@@ -355,6 +388,7 @@ func (c *Coordinator) instrument() {
 	c.stateGauge = reg.Gauge("fleet_state")
 	c.uniqueCtr = reg.Counter("fleet_entries_unique_total")
 	c.dedupedCtr = reg.Counter("fleet_entries_deduped_total")
+	c.cpErrors = reg.Counter("monitor_checkpoint_persist_errors_total")
 	for _, s := range []State{Healthy, Degraded, Stalled, Distrusted} {
 		c.transitions[s] = reg.Counter("fleet_state_transitions_total", "to", s.String())
 	}
@@ -365,6 +399,7 @@ func (c *Coordinator) instrument() {
 		w.restartCtr = reg.Counter("fleet_log_restarts_total", "log", w.spec.Name)
 		w := w
 		reg.GaugeFunc("fleet_log_checkpoint", func() float64 { return float64(w.checkpoint.Load()) }, "log", w.spec.Name)
+		reg.GaugeFunc("fleet_log_committed", func() float64 { return float64(w.mon.Committed()) }, "log", w.spec.Name)
 		reg.GaugeFunc("fleet_log_checkpoint_age_seconds", func() float64 { return w.checkpointAge().Seconds() }, "log", w.spec.Name)
 	}
 }
@@ -431,9 +466,6 @@ func (c *Coordinator) Ready() error {
 
 // checkpointPath resolves a spec's checkpoint file, or "" for none.
 func (c *Coordinator) checkpointPath(spec LogSpec) string {
-	if spec.CheckpointPath != "" {
-		return spec.CheckpointPath
-	}
 	if c.cfg.CheckpointDir == "" {
 		return ""
 	}
@@ -459,7 +491,7 @@ func (c *Coordinator) sink(ctx context.Context, w *worker) func(ctlog.Entry) (mo
 		}
 		c.seen[h] = struct{}{}
 		c.dedupMu.Unlock()
-		if err := c.feed.Put(ctx, sourced{log: w.spec.Name, e: e}); err != nil {
+		if err := c.feed.Put(ctx, sourced{w: w, e: e}); err != nil {
 			c.dedupMu.Lock()
 			delete(c.seen, h)
 			c.dedupMu.Unlock()
@@ -502,6 +534,9 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 	defer c.releaseStores()
+	for _, w := range c.workers {
+		w.opts = c.syncOptions(ctx, w)
+	}
 
 	healthCtx, stopHealth := context.WithCancel(context.Background())
 	healthDone := make(chan struct{})
@@ -509,6 +544,10 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 
 	consumerDone := make(chan struct{})
 	go c.consume(consumerDone)
+
+	commitCtx, stopCommits := context.WithCancel(context.Background())
+	commitDone := make(chan struct{})
+	go c.commitLoop(commitCtx, commitDone)
 
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
@@ -521,6 +560,11 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	wg.Wait()
 	c.feed.Close()
 	<-consumerDone
+	// The feed is drained, so every forwarded entry is handled: the last
+	// commit can take each log's final position.
+	stopCommits()
+	<-commitDone
+	c.commit()
 
 	// One final evaluation so the result reflects the end state, then
 	// stop the evaluator.
@@ -561,12 +605,11 @@ func (c *Coordinator) releaseStores() {
 	}
 }
 
-// runWorker is one log's failure domain: a supervised single-pass
-// crawl to the log's current head. Per-log sync metrics stay OFF the
-// shared registry (monitor_* series are unlabeled globals; four crawls
-// would fight over them) — the fleet's labeled instruments carry the
-// per-log story instead.
-func (c *Coordinator) runWorker(ctx context.Context, w *worker) {
+// syncOptions builds one log's crawl options. Per-log sync metrics
+// stay OFF the shared registry (monitor_* series are unlabeled
+// globals; four crawls would fight over them) — the fleet's labeled
+// instruments carry the per-log story instead.
+func (c *Coordinator) syncOptions(ctx context.Context, w *worker) monitor.SyncOptions {
 	opts := monitor.SyncOptions{
 		Batch:   w.spec.Batch,
 		Tracer:  c.cfg.Tracer,
@@ -582,6 +625,13 @@ func (c *Coordinator) runWorker(ctx context.Context, w *worker) {
 	if c.cfg.Audit && c.cfg.STHStoreDir != "" {
 		opts.STHStore = &monitor.FileSTHStore{Path: filepath.Join(c.cfg.STHStoreDir, w.spec.Name+".sth")}
 	}
+	return opts
+}
+
+// runWorker is one log's failure domain: a supervised single-pass
+// crawl to the log's current head.
+func (c *Coordinator) runWorker(ctx context.Context, w *worker) {
+	opts := w.opts
 	err := monitor.Supervise(ctx, monitor.SupervisorOptions{
 		MaxRestarts: c.cfg.MaxRestarts,
 		BaseBackoff: c.cfg.BaseBackoff,
@@ -642,8 +692,47 @@ func (c *Coordinator) consume(done chan<- struct{}) {
 			c.cfg.Handle(s.e)
 		}
 		if c.cfg.HandleSourced != nil {
-			c.cfg.HandleSourced(s.log, s.e)
+			c.cfg.HandleSourced(s.w.spec.Name, s.e)
 		}
+		s.w.handled.Add(1)
+	}
+}
+
+// commitLoop runs a group commit every commitEvery until stopped; Run
+// makes the final commit itself once the feed has drained.
+func (c *Coordinator) commitLoop(ctx context.Context, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(c.commitEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			c.commit()
+		}
+	}
+}
+
+// commit is one group commit across every log (monitor.Commit: the
+// cuts, then Config.Commit, then each log's anchor and checkpoint). A
+// log whose commit failed counts it and retries at the next commit.
+func (c *Coordinator) commit() {
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
+	targets := make([]monitor.CommitTarget, len(c.workers))
+	for i, w := range c.workers {
+		targets[i] = monitor.CommitTarget{Monitor: w.mon, Opts: w.opts, Handled: w.handled.Load()}
+	}
+	for i, err := range monitor.Commit(context.Background(), targets, c.cfg.Commit) {
+		if err == nil {
+			continue
+		}
+		w := c.workers[i]
+		w.mu.Lock()
+		w.stats.CheckpointErrors++
+		w.mu.Unlock()
+		c.cpErrors.Inc()
 	}
 }
 

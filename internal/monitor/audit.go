@@ -64,8 +64,6 @@ type auditor struct {
 	// against; set by auditSTHAdvance at crawl start.
 	crawlSize int
 	crawlRoot ctlog.Hash
-	// lastSaved is the last tree size persisted to the STHStore.
-	lastSaved int
 }
 
 // ensureAudit initializes the audit state once per monitor, restoring
@@ -74,7 +72,7 @@ func (m *Monitor) ensureAudit(ctx context.Context, opts *SyncOptions) error {
 	if m.audit != nil {
 		return nil
 	}
-	a := &auditor{lastSaved: -1}
+	a := &auditor{}
 	if opts.STHStore != nil {
 		v, ok, err := opts.STHStore.Load()
 		if err != nil {
@@ -84,7 +82,6 @@ func (m *Monitor) ensureAudit(ctx context.Context, opts *SyncOptions) error {
 			t, err := ctlog.NewCompactTree(v.Size, v.Hashes)
 			if err == nil && t.Root() == v.Root {
 				a.tree = t
-				a.lastSaved = v.Size
 				opts.Journal.Emit(ctx, "monitor.audit.anchor", map[string]any{
 					"log": opts.Name, "size": v.Size,
 				})

@@ -1,13 +1,14 @@
 package monitor
 
-// Crash-safe checkpoint persistence. A crawl's resume point (PR 1's
-// in-memory checkpoint) survives process death by being written
-// through a CheckpointStore after every ingested batch. The file
-// implementation is torn-write-proof twice over: each record is
-// CRC-sealed and versioned, and every save goes through the classic
-// temp-write → fsync → rename → dir-fsync dance, so at any kill point
-// the path holds either the previous complete record or the new
-// complete record — never a blend. A reader that finds anything else
+// Crash-safe checkpoint persistence. A crawl's resume point survives
+// process death by being written through a CheckpointStore when a
+// group commit publishes it (about once a second, and when the crawl
+// ends; see commit.go), never past an entry that is not yet durable
+// downstream. The file implementation is torn-write-proof twice over:
+// each record is CRC-sealed and versioned, and every save goes through
+// the classic temp-write → fsync → rename → dir-fsync dance, so at any
+// kill point the path holds either the previous complete record or
+// the new complete record — never a blend. A reader that finds anything else
 // (short file, bad magic, bad CRC, unknown version) reports a clean
 // "no checkpoint", which merely costs a refetch, instead of resuming
 // from a wrong index, which would silently lose log entries — the

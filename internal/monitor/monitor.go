@@ -62,6 +62,13 @@ type Monitor struct {
 	// tree); nil until a crawl runs with SyncOptions.Audit (see
 	// audit.go).
 	audit *auditor
+	// forwarded counts the entries crawls handed to a SyncOptions.Sink
+	// over the monitor's life; staged boundaries carry it so a commit
+	// can tell which of them the Sink's consumer has caught up with.
+	forwarded int64
+	// progress holds the staged and committed crawl positions (see
+	// commit.go).
+	progress progress
 }
 
 // New builds an empty monitor with the given capabilities.

@@ -33,12 +33,17 @@ type SyncOptions struct {
 	// corrupted body the HTTP-level retry policy will not refetch
 	// (default 3; negative disables).
 	STHRetries int
-	// Checkpoints, when non-nil, makes the crawl crash-safe: the
-	// resume point is persisted after every ingested batch and
-	// restored (for a monitor with no in-memory progress) before the
-	// crawl starts, so a killed process resumes where it stopped
-	// instead of refetching the log. Persistence failures degrade the
-	// crawl (counted in SyncStats.CheckpointErrors and
+	// Checkpoints, when non-nil, makes the crawl crash-safe: every
+	// ingested batch stages its resume point in memory, a group commit
+	// persists the newest staged point that is durable downstream (see
+	// commit.go), and the persisted point is restored (for a monitor
+	// with no in-memory progress) before the crawl starts, so a killed
+	// process resumes where it last committed instead of refetching the
+	// log. A crawl without a Sink commits itself about once a second
+	// and on exit; a crawl with a Sink leaves commits to the Sink's
+	// owner, who alone knows when forwarded entries are durable.
+	// Commit failures degrade the crawl (counted in
+	// SyncStats.CheckpointErrors and
 	// monitor_checkpoint_persist_errors_total), they do not abort it.
 	Checkpoints CheckpointStore
 	// Obs, when non-nil, receives the crawl instruments
@@ -52,7 +57,9 @@ type SyncOptions struct {
 	Tracer *obs.Tracer
 	// Sink, when non-nil, intercepts every fetched non-precert entry
 	// BEFORE the checkpoint advances past it and before the local
-	// parse/index step. It is how a fleet coordinator dedups entries
+	// parse/index step. Its owner commits the crawl's progress (Commit
+	// with the count of forwarded entries it has handled); the crawl
+	// only stages it. It is how a fleet coordinator dedups entries
 	// across logs and applies global backpressure: a Sink that blocks
 	// on a bounded channel slows this crawl down to the consumer's
 	// pace. Returning SinkIngest keeps the normal parse/index path;
@@ -84,7 +91,8 @@ type SyncOptions struct {
 	Audit bool
 	// STHStore, when non-nil (and Audit is set), persists the verified
 	// tree head so consistency auditing survives restarts; a resume
-	// re-anchors on the verified head.
+	// re-anchors on the verified head. It is written by the same commit
+	// as the checkpoint, just before it.
 	STHStore STHStore
 	// ProofRetries is how many times a failing proof is refetched
 	// before the failure becomes an incident (default 3; negative
@@ -319,6 +327,7 @@ func (m *Monitor) SyncFromLog(ctx context.Context, client *ctlog.Client, opts Sy
 			return SyncStats{}, fmt.Errorf("monitor: loading checkpoint: %w", err)
 		} else if ok {
 			m.SetCheckpoint(cp.NextIndex)
+			m.progress.committed.Store(int64(cp.NextIndex))
 			opts.Journal.Emit(ctx, "checkpoint.restore", map[string]any{
 				"log": opts.Name, "index": cp.NextIndex,
 			})
@@ -346,41 +355,22 @@ func (m *Monitor) SyncFromLog(ctx context.Context, client *ctlog.Client, opts Sy
 	ctx, span := opts.Tracer.Start(ctx, "monitor.sync")
 	span.SetAttr("resumed_from", strconv.Itoa(m.nextIndex))
 	treeSize := 0
-	lastPersisted := -1
-	persist := func() {
-		if opts.Audit && m.audit != nil && opts.STHStore != nil {
-			// The anchor goes first: if the process dies between the two
-			// saves, a mirror ahead of the checkpoint is re-proven
-			// per-entry on resume, while a checkpoint ahead of the
-			// mirror would force a re-anchor refetch.
-			if s := m.audit.tree.Size(); s != m.audit.lastSaved {
-				v := VerifiedSTH{Size: s, Root: m.audit.tree.Root(), Hashes: m.audit.tree.Hashes(), UpdatedAt: time.Now()}
-				if err := opts.STHStore.Save(v); err != nil {
-					stats.CheckpointErrors++
-					sm.cpErrors.Inc()
-				} else {
-					m.audit.lastSaved = s
-				}
-			}
-		}
-		if opts.Checkpoints == nil {
+	// commit publishes the newest staged boundary when the crawl owns
+	// its commits; a crawl with a Sink leaves that to the Sink's owner.
+	lastCommit := time.Now()
+	commit := func() {
+		if opts.Sink != nil {
 			return
 		}
-		cp := Checkpoint{NextIndex: m.nextIndex, TreeSize: treeSize, UpdatedAt: time.Now()}
-		if err := opts.Checkpoints.Save(cp); err != nil {
+		lastCommit = time.Now()
+		if err := Commit(ctx, []CommitTarget{{Monitor: m, Opts: opts}}, nil)[0]; err != nil {
 			stats.CheckpointErrors++
 			sm.cpErrors.Inc()
-			return
-		}
-		if cp.NextIndex != lastPersisted {
-			lastPersisted = cp.NextIndex
-			opts.Journal.Emit(ctx, "checkpoint.persist", map[string]any{
-				"log": opts.Name, "index": cp.NextIndex,
-			})
 		}
 	}
 	finish := func(err error) (SyncStats, error) {
-		persist()
+		m.stage(treeSize, &opts)
+		commit()
 		stats.Retries = int(client.Retries() - retries0)
 		stats.Duration = time.Since(started)
 		span.SetAttr("fetched", strconv.Itoa(stats.Fetched))
@@ -425,7 +415,10 @@ func (m *Monitor) SyncFromLog(ctx context.Context, client *ctlog.Client, opts Sy
 		if err := m.syncRange(ctx, client, m.nextIndex, end, &stats, sm, &opts); err != nil {
 			return finish(err)
 		}
-		persist()
+		m.stage(treeSize, &opts)
+		if time.Since(lastCommit) >= commitEvery {
+			commit()
+		}
 	}
 	return finish(nil)
 }
@@ -577,6 +570,7 @@ func (m *Monitor) ingest(ctx context.Context, entries []ctlog.Entry, stats *Sync
 		}
 		switch action {
 		case SinkForward:
+			m.forwarded++
 			stats.Forwarded++
 			sm.forwarded.Inc()
 			continue

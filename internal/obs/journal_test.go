@@ -34,6 +34,7 @@ var journalEventFixtures = []struct {
 	{"pipeline.quarantine", map[string]any{"slot": 3, "index": 12345, "stage": "lint"}},
 	{"slo.transition", map[string]any{"slo": "fleet_freshness", "from": "ok", "to": "page", "burn_fast": 2.5, "burn_slow": 2.1}},
 	{"flight.dump", map[string]any{"reason": "sigquit", "path": "/tmp/flight-1-sigquit.jsonl"}},
+	{"checkpoint.persist_error", map[string]any{"log": "alpha", "index": 512, "err": "monitor: saving checkpoint: no space left on device"}},
 }
 
 // TestJournalGolden pins the JSONL wire format: the schema version,
