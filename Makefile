@@ -22,7 +22,7 @@ BENCH_ROUNDS ?= 3
 # Address the smoke-metrics crawl serves its /metrics endpoint on.
 SMOKE_METRICS_ADDR ?= 127.0.0.1:19321
 
-.PHONY: build vet perfbench-vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak soak-fleet soak-kill
+.PHONY: build vet perfbench-vet test race fuzz check bench profile allocguard obs-lint smoke-metrics soak-fleet soak-kill
 build:
 	$(GO) build ./...
 
@@ -101,13 +101,13 @@ allocguard:
 obs-lint:
 	./scripts/obs_lint.sh
 
-# smoke-metrics boots a faulted ctmonitor crawl with a live metrics
-# endpoint, scrapes /metrics, and asserts the crawl and client
-# instruments are present with non-zero values.
+# smoke-metrics boots a faulted ctmonitor crawl (a fleet of one flaky
+# log) with a live metrics endpoint, scrapes /metrics, and asserts the
+# crawl and client instruments are present with non-zero values.
 smoke-metrics:
 	@$(GO) build -o /tmp/ctmonitor-smoke ./cmd/ctmonitor
 	@rm -f /tmp/ctmonitor-smoke.metrics; \
-	/tmp/ctmonitor-smoke -entries 120 -fault-rate 0.25 -batch 16 \
+	/tmp/ctmonitor-smoke -logs solo:flaky -entries 120 -batch 16 \
 		-metrics-addr $(SMOKE_METRICS_ADDR) -linger 30s \
 		>/dev/null 2>/tmp/ctmonitor-smoke.log & \
 	pid=$$!; \
@@ -115,7 +115,7 @@ smoke-metrics:
 	ok=0; \
 	for i in $$(seq 1 100); do \
 		if curl -sf http://$(SMOKE_METRICS_ADDR)/metrics -o /tmp/ctmonitor-smoke.metrics 2>/dev/null \
-			&& grep -q '^monitor_entries_synced_total [1-9]' /tmp/ctmonitor-smoke.metrics; then \
+			&& grep -q '^fleet_entries_unique_total [1-9]' /tmp/ctmonitor-smoke.metrics; then \
 			ok=1; break; \
 		fi; \
 		sleep 0.2; \
@@ -125,27 +125,19 @@ smoke-metrics:
 		'ctlog_requests_total{outcome="ok"} [1-9]' \
 		'ctlog_request_seconds_bucket' \
 		'ctlog_server_requests_total' \
-		'monitor_checkpoint_age_seconds'; do \
+		'fleet_log_checkpoint_age_seconds{log="solo"}'; do \
 		grep -q "$$pat" /tmp/ctmonitor-smoke.metrics || { \
 			echo "smoke-metrics: FAIL: missing $$pat"; exit 1; }; \
 	done; \
 	echo "smoke-metrics: OK ($$(wc -l < /tmp/ctmonitor-smoke.metrics) exposition lines)"
-
-# soak drives the crash/recovery scenario end to end: a rate-limited,
-# fault-injected (hang/reset/5xx) crawl is SIGTERMed mid-flight, then
-# restarted off the same checkpoint file; soakcheck asserts the resumed
-# crawl completes with exact entry accounting, that the overloaded log
-# shed requests, and that the client breaker opened and re-closed.
-soak:
-	./scripts/soak.sh
 
 # soak-fleet drives the multi-log crash/recovery scenario: four logs
 # with disjoint fault profiles (hang, 25% 5xx, poisoned entries,
 # clean) crawled by the fleet coordinator, SIGTERMed mid-flight, then
 # restarted; soakcheck -fleet asserts per-log checkpoint resume with
 # zero refetch, exact cross-log dedup accounting, poisoned-entry
-# quarantine without stalling the healthy logs, and a fleet that
-# degraded without dying.
+# quarantine without stalling the healthy logs, shed requests on the
+# rate-limited logs, and a fleet that degraded without dying.
 soak-fleet:
 	./scripts/soak_fleet.sh
 

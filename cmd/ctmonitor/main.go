@@ -1,51 +1,55 @@
 // Command ctmonitor demonstrates the monitor pipeline of §6.1 as a
-// service: it starts an RFC 6962-style CT log over HTTP, submits a
-// slice of the synthetic corpus (including a crafted forgery), syncs
-// monitor models through the HTTP API, and answers queries — showing
-// which monitors surface the forgery for its victim domain.
+// service: it stands up RFC 6962-style CT logs over HTTP, submits a
+// slice of the synthetic corpus (including a crafted forgery) to each,
+// crawls them all through internal/fleet into the monitor models, and
+// answers queries — showing which monitors surface the forgery for its
+// victim domain.
 //
-// The crawl path is the fault-tolerant one: with -fault-rate > 0 a
-// seeded injector degrades the HTTP transport (5xx, drops, latency,
-// truncated and corrupted bodies, stale STHs; -fault-kinds opts into
-// hang and reset) and the sync must still index every parseable
-// certificate, surfacing its retry/skip accounting in the report.
+// Every run is a fleet. -logs names the logs as name[:profile] specs
+// (profiles: clean, flaky, hang, poison; see fleet.go); the default is
+// a fleet of one clean log holding the whole corpus. Each log is its
+// own failure domain: a supervised crawl worker that restarts with
+// capped exponential backoff, its own circuit breaker, its own
+// advisory-locked checkpoint; entries seen on several logs are indexed
+// once.
 //
 // Production-hardening surface:
 //
-//   - The log front end and the -metrics-addr listener run under
+//   - The log front ends and the -metrics-addr listener run under
 //     internal/serve: hardened http.Server timeouts, /healthz and
 //     /readyz probes, and graceful drain on SIGINT/SIGTERM
 //     (-drain bounds the drain).
-//   - -max-inflight and -rate-limit arm the log's overload shedding
-//     (503/429 + Retry-After, counted in ctlog_server_shed_total).
-//   - -breaker-threshold arms the client's circuit breaker so a dying
-//     log is probed, not hammered.
-//   - -checkpoint-file persists each monitor's crawl position
-//     crash-safely; a restarted process resumes instead of refetching
-//     (SyncStats.ResumedFrom in -stats-json shows the resume point).
-//   - -supervise wraps each crawl in a panic-recovering supervisor
-//     with capped exponential restart backoff.
+//   - -rate-limit arms each log's overload shedding (429 +
+//     Retry-After, counted in ctlog_server_shed_total).
+//   - -breaker-threshold arms each log client's circuit breaker so a
+//     dying log is probed, not hammered.
+//   - -checkpoint-dir persists each log's crawl position crash-safely;
+//     a restarted process resumes instead of refetching (ResumedFrom
+//     in -stats-json shows the resume point).
+//   - -index-dir persists a queryable certificate index, served by
+//     -query-addr.
 //
-// On SIGTERM mid-crawl the process checkpoints, reports what it
-// crawled, and exits 0 — the next run picks up where it stopped.
+// On SIGTERM mid-crawl the process commits, reports what it crawled,
+// and exits 0 — the next run picks up where it stopped.
 //
 // Observability: the whole run is instrumented through internal/obs.
-// -metrics-addr serves /metrics (Prometheus text), /debug/vars, and
-// /debug/pprof while the crawl runs (the log front end serves the same
-// endpoints); -stats-json prints the final per-monitor SyncStats plus
-// a metrics snapshot as one JSON object on stdout (human output moves
-// to stderr); -linger keeps the process and its metrics endpoint alive
-// after the crawl so scrapers can collect the final state.
+// -metrics-addr serves /metrics (Prometheus text), /debug/vars,
+// /debug/pprof and /debug/fleet while the crawl runs; -stats-json
+// prints the final per-log SyncStats plus a metrics snapshot as one
+// JSON object on stdout (human output moves to stderr); -linger keeps
+// the process and its endpoints alive after the crawl so scrapers can
+// collect the final state.
 //
 // Usage:
 //
 //	ctmonitor [-entries 200] [-query victim.example] [-batch 64]
-//	          [-listen 127.0.0.1:0] [-drain 10s]
-//	          [-fault-rate 0.25] [-fault-seed 42] [-fault-kinds hang,reset]
+//	          [-logs alpha:hang,bravo:flaky,charlie:poison,delta]
+//	          [-drain 10s] [-fault-seed 42]
 //	          [-max-retries 4] [-timeout 10s]
-//	          [-max-inflight 64] [-rate-limit 100] [-rate-burst 10]
+//	          [-rate-limit 100] [-rate-burst 10]
 //	          [-breaker-threshold 5] [-breaker-cooldown 30s]
-//	          [-checkpoint-file /tmp/ctmonitor.ckpt] [-supervise]
+//	          [-checkpoint-dir DIR] [-audit] [-sth-store-dir DIR]
+//	          [-index-dir DIR] [-query-addr :9091]
 //	          [-monitor crt.sh] [-metrics-addr :9090] [-stats-json]
 //	          [-linger 30s] [-progress 10s]
 package main
@@ -53,7 +57,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,15 +65,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/ctlog"
-	"repro/internal/faultinject"
+	"repro/internal/fleet"
+	"repro/internal/index"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -79,43 +81,51 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run executes one fleet crawl end to end and returns the process exit
+// code.
+func run() int {
 	entries := flag.Int("entries", 200, "corpus certificates to log")
 	query := flag.String("query", "victim.example", "owner query to replay against every monitor")
 	batch := flag.Int("batch", 64, "get-entries batch size")
-	listen := flag.String("listen", "127.0.0.1:0", "address for the CT log front end")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for the HTTP servers")
-	faultRate := flag.Float64("fault-rate", 0, "probability of injecting a fault per HTTP request (0 disables)")
-	faultSeed := flag.Int64("fault-seed", 42, "seed for the deterministic fault injector")
-	faultKinds := flag.String("fault-kinds", "", "comma-separated fault kinds (default: the standard mix; hang and reset are opt-in)")
+	faultSeed := flag.Int64("fault-seed", 42, "seed for the per-log fault injectors (log i uses seed+i)")
 	maxRetries := flag.Int("max-retries", ctlog.DefaultMaxRetries, "HTTP retry attempts for retryable failures")
 	timeout := flag.Duration("timeout", ctlog.DefaultTimeout, "per-request HTTP timeout")
-	maxInflight := flag.Int("max-inflight", 0, "cap on concurrently served ct/v1 requests; excess sheds 503 (0 = unlimited)")
-	rateLimit := flag.Float64("rate-limit", 0, "sustained ct/v1 requests/second budget; excess sheds 429 (0 = unlimited)")
+	rateLimit := flag.Float64("rate-limit", 0, "sustained ct/v1 requests/second budget per log; excess sheds 429 (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0, "token-bucket burst for -rate-limit (0 = max(1, ceil(rate)))")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive retryable failures that open the client's circuit breaker (0 disables)")
+	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive retryable failures that open a log client's circuit breaker (0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", ctlog.DefaultBreakerCooldown, "how long an open breaker waits before a half-open probe")
-	checkpointFile := flag.String("checkpoint-file", "", "crash-safe crawl checkpoint path prefix (one file per monitor)")
-	supervise := flag.Bool("supervise", false, "wrap each crawl in a panic-recovering supervisor with restart backoff")
-	audit := flag.Bool("audit", false, "verify Merkle inclusion/consistency proofs for every crawl; a proof failure is terminal (single log) or lands the log distrusted (fleet)")
-	sthStoreDir := flag.String("sth-store-dir", "", "persist each crawl's last verified tree head (CRC-sealed, crash-safe) in this directory; resumes re-anchor on it (requires -audit)")
+	audit := flag.Bool("audit", false, "verify Merkle inclusion/consistency proofs for every crawl; a proof failure lands the log distrusted")
+	sthStoreDir := flag.String("sth-store-dir", "", "persist each log's last verified tree head (CRC-sealed, crash-safe) in this directory; resumes re-anchor on it (requires -audit)")
 	monitorFilter := flag.String("monitor", "", "comma-separated monitor name filter (substring match; empty = all)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. :9090)")
-	statsJSON := flag.Bool("stats-json", false, "print final SyncStats + metrics snapshot as one JSON object on stdout")
-	linger := flag.Duration("linger", 0, "keep serving metrics this long after the crawl finishes")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/fleet on this address (e.g. :9090)")
+	statsJSON := flag.Bool("stats-json", false, "print final per-log SyncStats + metrics snapshot as one JSON object on stdout")
+	linger := flag.Duration("linger", 0, "keep serving metrics and queries this long after the crawl finishes")
 	progressEvery := flag.Duration("progress", 0, "emit a progress line to stderr every interval (0 disables)")
-	fleetLogs := flag.String("logs", "", "fleet mode: comma-separated name[:profile] log specs (profiles: clean, flaky, hang, poison); empty runs the single-log pipeline")
-	fleetQuorum := flag.Int("fleet-quorum", 0, "fleet mode: non-stalled logs required for /readyz (0 = majority)")
-	checkpointDir := flag.String("checkpoint-dir", "", "fleet mode: directory for per-log crash-safe checkpoints (one advisory-locked file per log)")
-	fleetQueue := flag.Int("fleet-queue", 0, "fleet mode: bounded entry-feed depth shared by all crawls (0 = 256)")
-	fleetStallAfter := flag.Duration("fleet-stall-after", 0, "fleet mode: mark a log stalled when its checkpoint stops advancing for this long (0 disables age-based stalling)")
-	indexDir := flag.String("index-dir", "", "fleet mode: persist a queryable certificate index (LSM segment files) in this directory")
-	queryAddr := flag.String("query-addr", "", "fleet mode: serve the /ct/v1/query lookup API on this address (requires -index-dir)")
+	fleetLogs := flag.String("logs", "ctlog:clean", "comma-separated name[:profile] log specs (profiles: clean, flaky, hang, poison)")
+	fleetQuorum := flag.Int("fleet-quorum", 0, "non-stalled logs required for /readyz (0 = majority)")
+	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-log crash-safe checkpoints (one advisory-locked file per log)")
+	fleetQueue := flag.Int("fleet-queue", 0, "bounded entry-feed depth shared by all crawls (0 = 256)")
+	fleetStallAfter := flag.Duration("fleet-stall-after", 0, "mark a log stalled when its checkpoint stops advancing for this long (0 disables age-based stalling)")
+	indexDir := flag.String("index-dir", "", "persist a queryable certificate index (LSM segment files) in this directory")
+	queryAddr := flag.String("query-addr", "", "serve the /ct/v1/query lookup API on this address (requires -index-dir)")
 	queryRateLimit := flag.Float64("query-rate-limit", 0, "sustained query requests/second budget; excess sheds 429 (0 = unlimited)")
 	queryBurst := flag.Int("query-burst", 0, "token-bucket burst for -query-rate-limit")
 	queryMaxInflight := flag.Int("query-max-inflight", 0, "cap on concurrently served queries; excess sheds 503 (0 = unlimited)")
 	journalPath := flag.String("journal", "", "append schema-versioned JSONL audit events (sync, health, breaker, checkpoint, shed) to this file")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (JSONL) here on panic, quarantine, breaker-open, fleet transitions, SIGQUIT, and degraded exit")
 	flag.Parse()
+
+	if *sthStoreDir != "" && !*audit {
+		return fail("-sth-store-dir requires -audit")
+	}
+	specs, err := parseFleetSpecs(*fleetLogs)
+	if err != nil {
+		return fail("%v", err)
+	}
 
 	// SIGINT/SIGTERM cancel this context; everything below — servers
 	// and crawls alike — drains off it.
@@ -134,13 +144,12 @@ func main() {
 
 	// The journal is the run's append-only audit trail; the flight
 	// recorder always records into its in-memory rings and dumps to
-	// -flight-dir when set. Journal lines are written whole per event,
-	// so the os.Exit paths below lose nothing.
+	// -flight-dir when set.
 	var journal *obs.Journal
 	if *journalPath != "" {
 		j, err := obs.OpenJournal(*journalPath, reg)
 		if err != nil {
-			fatal("journal: %v", err)
+			return fail("journal: %v", err)
 		}
 		journal = j
 		defer journal.Close()
@@ -160,320 +169,406 @@ func main() {
 		}
 	}()
 
-	// Fleet mode replaces the single-log pipeline wholesale: N in-process
-	// logs, one supervised crawl worker per log, fleet-wide dedup and
-	// health. Everything below this block is the single-log path.
-	if *sthStoreDir != "" {
-		if !*audit {
-			fatal("-sth-store-dir requires -audit")
-		}
-		if err := os.MkdirAll(*sthStoreDir, 0o755); err != nil {
-			fatal("sth store dir: %v", err)
-		}
-	}
-
-	if *fleetLogs != "" {
-		code := runFleet(ctx, out, reg, tracer, fleetParams{
-			specs:            *fleetLogs,
-			entries:          *entries,
-			batch:            *batch,
-			drain:            *drain,
-			faultSeed:        *faultSeed,
-			timeout:          *timeout,
-			maxRetries:       *maxRetries,
-			breakerThreshold: *breakerThreshold,
-			breakerCooldown:  *breakerCooldown,
-			rateLimit:        *rateLimit,
-			rateBurst:        *rateBurst,
-			checkpointDir:    *checkpointDir,
-			audit:            *audit,
-			sthStoreDir:      *sthStoreDir,
-			quorum:           *fleetQuorum,
-			queueDepth:       *fleetQueue,
-			stallAfter:       *fleetStallAfter,
-			metricsAddr:      *metricsAddr,
-			indexDir:         *indexDir,
-			queryAddr:        *queryAddr,
-			queryRateLimit:   *queryRateLimit,
-			queryBurst:       *queryBurst,
-			queryMaxInflight: *queryMaxInflight,
-			statsJSON:        *statsJSON,
-			query:            *query,
-			monitorFilter:    *monitorFilter,
-			progressEvery:    *progressEvery,
-			journal:          journal,
-			flight:           flight,
-		})
-		stop()
-		journal.Close()
-		os.Exit(code)
-	}
-
-	// crawling flips once the first sync begins; the metrics listener's
-	// /readyz reports it.
-	var crawling atomic.Bool
-	if *metricsAddr != "" {
-		serveMetrics(ctx, *metricsAddr, reg, journal, *drain, func() error {
-			if !crawling.Load() {
-				return fmt.Errorf("no crawl started yet")
-			}
-			return nil
-		}, nil)
-	}
-	var prog *obs.Progress
 	if *progressEvery > 0 {
-		prog = obs.NewProgress(os.Stderr, reg, *progressEvery, "monitor_", "ctlog_")
+		prog := obs.NewProgress(os.Stderr, reg, *progressEvery, "fleet_", "monitor_", "ctlog_")
 		prog.Start()
 		defer prog.Stop()
 	}
 
-	// 1. Stand up the log behind the hardened lifecycle wrapper; its
-	// front end serves the observability endpoints alongside the ct/v1
-	// API and sheds when -max-inflight/-rate-limit are armed.
-	log, err := ctlog.NewLog(2025)
-	if err != nil {
-		fatal("%v", err)
-	}
-	frontend := &ctlog.Server{
-		Log:         log,
-		Obs:         reg,
-		MaxInFlight: *maxInflight,
-		RateLimit:   *rateLimit,
-		RateBurst:   *rateBurst,
-		Journal:     journal,
-		Name:        "ctlog",
-	}
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fatal("log listener: %v", err)
-	}
-	logSrv := serve.New(frontend.Handler(), serve.Config{
-		Name:         "ctlog",
-		DrainTimeout: *drain,
-		Obs:          reg,
-		Journal:      journal,
-	})
-	logDone := make(chan error, 1)
-	go func() { logDone <- logSrv.Run(ctx, ln) }()
-	baseURL := "http://" + ln.Addr().String()
-	fmt.Fprintf(out, "CT log serving at %s\n", baseURL)
-
-	// 2. Submit corpus certificates plus one crafted forgery for the
-	// victim domain. The corpus is seeded, so a restarted process
-	// rebuilds an identical log and a checkpointed crawl can resume
-	// against it.
+	// The corpus is seeded, so a restarted process rebuilds
+	// byte-identical logs and checkpointed crawls resume against
+	// unchanged trees.
 	c, err := corpus.Generate(corpus.Config{Size: *entries, Seed: 31})
 	if err != nil {
-		fatal("%v", err)
-	}
-	for _, e := range c.Entries {
-		if _, err := log.AddParsed(e.DER, false); err != nil {
-			fatal("%v", err)
-		}
+		return fail("%v", err)
 	}
 	forged := buildForgery(*query)
-	if _, err := log.AddParsed(forged, false); err != nil {
-		fatal("%v", err)
-	}
-	sth, err := log.STH()
-	if err != nil {
-		fatal("%v", err)
-	}
-	fmt.Fprintf(out, "logged %d entries (tree head %x…)\n\n", sth.Size, sth.Root[:8])
 
-	// 3. Every selected monitor syncs through the HTTP API — optionally
-	// through the fault injector — and answers the owner's query.
-	var transport http.RoundTripper
-	var injector *faultinject.Transport
-	kinds, err := faultinject.ParseKinds(*faultKinds)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if *faultRate > 0 {
-		injector = faultinject.New(faultinject.Config{
-			Seed:  *faultSeed,
-			Rate:  *faultRate,
-			Kinds: kinds,
-		}, nil)
-		transport = injector
-		fmt.Fprintf(out, "fault injector armed: rate %.0f%%, seed %d\n\n", *faultRate*100, *faultSeed)
-	}
 	// The client treats 0 as "use the default", so translate the
 	// flag's literal 0 into its explicit "no retries" value.
 	retries := *maxRetries
 	if retries == 0 {
 		retries = -1
 	}
-	client := &ctlog.Client{
-		Base:       baseURL,
-		HTTP:       &http.Client{Transport: transport},
-		MaxRetries: retries,
-		Timeout:    *timeout,
-		Obs:        reg,
-		Tracer:     tracer,
-	}
-	if *breakerThreshold > 0 {
-		client.Breaker = &ctlog.Breaker{Threshold: *breakerThreshold, Cooldown: *breakerCooldown}
-	}
 
-	var rows [][]string
-	perMonitor := make(map[string]monitor.SyncStats)
-	var totals monitor.SyncStats
-	interrupted := false
-	hadError := false
-	for _, caps := range monitor.Monitors() {
-		if !selected(caps.Name, *monitorFilter) {
-			continue
+	var logs []*fleetLog
+	var fleetSpecs []fleet.LogSpec
+	for i, sp := range specs {
+		name, profile := sp[0], sp[1]
+		lo, hi := fleetWindow(i, len(specs), len(c.Entries))
+		log, err := ctlog.NewLog(2025 + int64(i))
+		if err != nil {
+			return fail("%v", err)
 		}
-		if caps.Discontinued {
-			rows = append(rows, []string{caps.Name, "-", "-", "-", "-", "service discontinued"})
-			continue
-		}
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		m := monitor.New(caps)
-		opts := monitor.SyncOptions{
-			Batch: *batch, Obs: reg, Tracer: tracer,
-			Name: caps.Name, Journal: journal, Flight: flight,
-			Audit: *audit,
-		}
-		if *checkpointFile != "" {
-			opts.Checkpoints = &monitor.FileCheckpointStore{Path: *checkpointFile + "." + slug(caps.Name)}
-		}
-		if *sthStoreDir != "" {
-			opts.STHStore = &monitor.FileSTHStore{Path: filepath.Join(*sthStoreDir, slug(caps.Name)+".sth")}
-		}
-		var stats monitor.SyncStats
-		first := true
-		crawl := func(ctx context.Context) error {
-			crawling.Store(true)
-			s, err := m.SyncFromLog(ctx, client, opts)
-			// ResumedFrom is only meaningful for the first attempt;
-			// supervisor restarts resume from in-memory state.
-			if first {
-				stats.ResumedFrom = s.ResumedFrom
-				first = false
-			}
-			addStats(&stats, s)
-			return err
-		}
-		var cerr error
-		if *supervise {
-			cerr = monitor.Supervise(ctx, monitor.SupervisorOptions{
-				Obs:    reg,
-				Flight: flight,
-				// A failed Merkle proof cannot be restarted into success;
-				// surface it immediately instead of burning the budget.
-				Terminal: func(err error) bool { return errors.Is(err, monitor.ErrProofFailure) },
-				OnRestart: func(r monitor.Restart) {
-					fmt.Fprintf(os.Stderr, "ctmonitor: %s crawl restart %d after: %v\n", caps.Name, r.Attempt, r.Err)
-				},
-			}, crawl)
-		} else {
-			cerr = crawl(ctx)
-		}
-		perMonitor[caps.Name] = stats
-		addStats(&totals, stats)
-		verdict := ""
-		switch {
-		case cerr != nil && ctx.Err() != nil:
-			interrupted = true
-			verdict = "crawl interrupted (checkpointed)"
-			fmt.Fprintf(os.Stderr, "ctmonitor: %s crawl interrupted: %v\n", caps.Name, cerr)
-		case cerr != nil:
-			hadError = true
-			verdict = "crawl failed: " + cerr.Error()
-			fmt.Fprintf(os.Stderr, "ctmonitor: %s crawl failed: %v\n", caps.Name, cerr)
-		default:
-			res := m.Query(*query)
-			verdict = fmt.Sprintf("%d certificate(s) found", len(res.IDs))
-			if res.Refused {
-				verdict = "query refused: " + res.Reason
-			} else if len(res.IDs) == 0 {
-				verdict = "forgery concealed"
+		for _, e := range c.Entries[lo:hi] {
+			if _, err := log.AddParsed(e.DER, false); err != nil {
+				return fail("%s: %v", name, err)
 			}
 		}
-		rows = append(rows, []string{
-			caps.Name,
-			fmt.Sprintf("%d", stats.Indexed),
-			fmt.Sprintf("%d", stats.ParseErrors),
-			fmt.Sprintf("%d", stats.Retries),
-			fmt.Sprintf("%d", stats.SkippedEntries),
-			verdict,
+		// Every log carries the forgery: the fleet must index it exactly
+		// once and dedup the other copies.
+		if _, err := log.AddParsed(forged, false); err != nil {
+			return fail("%s: %v", name, err)
+		}
+		fl := &fleetLog{name: name, profile: profile, size: hi - lo + 1, done: make(chan error, 1)}
+		if profile == "poison" {
+			fl.poisoned = poisonIndices(fl.size)
+		}
+		fl.injector = fleetTransport(profile, *faultSeed+int64(i), *timeout, fl.poisoned)
+
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fail("%s listener: %v", name, err)
+		}
+		// Per-log front ends share the registry's ctlog_server_*
+		// COUNTERS — counters aggregate cleanly across servers, and the
+		// fleet-wide totals are exactly what the shed-rate SLO burns
+		// against; the fleet's labeled instruments carry the per-log
+		// story. The rate limit applies per log — every front end gets
+		// its own token bucket.
+		fl.srv = serve.New((&ctlog.Server{
+			Log:       log,
+			RateLimit: *rateLimit, RateBurst: *rateBurst,
+			Obs:     reg,
+			Journal: journal,
+			Name:    "ctlog-" + name,
+		}).Handler(), serve.Config{
+			Name:         "ctlog-" + name,
+			DrainTimeout: *drain,
+			Obs:          reg,
+			Journal:      journal,
 		})
-		if interrupted {
-			break
+		go func(fl *fleetLog, ln net.Listener) { fl.done <- fl.srv.Run(ctx, ln) }(fl, ln)
+
+		var transport http.RoundTripper
+		if fl.injector != nil {
+			transport = fl.injector
 		}
-	}
-	fmt.Fprintln(out, report.Table(
-		[]string{"Monitor", "Indexed", "Parse errors", "Retries", "Skipped", fmt.Sprintf("Query %q", *query)},
-		rows))
-	if injector != nil {
-		st := injector.Stats()
-		fmt.Fprintf(out, "\ninjector: %d requests, %d faults", st.Requests, st.Total())
-		for _, k := range append(faultinject.AllKinds(), faultinject.Hang, faultinject.Reset, faultinject.ProofTamper, faultinject.SthEquivocate) {
-			if n := st.Faults[k]; n > 0 {
-				fmt.Fprintf(out, ", %s×%d", k, n)
-			}
+		// Client metrics (ctlog_client_*, ctlog_breaker_*) are unlabeled
+		// and therefore aggregate across the fleet's clients — the
+		// fleet_* series carry the per-log story.
+		client := &ctlog.Client{
+			Base:       "http://" + ln.Addr().String(),
+			HTTP:       &http.Client{Transport: transport},
+			MaxRetries: retries,
+			Timeout:    *timeout,
+			Obs:        reg,
+			Tracer:     tracer,
+		}
+		if *breakerThreshold > 0 {
+			client.Breaker = &ctlog.Breaker{Threshold: *breakerThreshold, Cooldown: *breakerCooldown}
+		}
+		logs = append(logs, fl)
+		fleetSpecs = append(fleetSpecs, fleet.LogSpec{Name: name, Client: client, Batch: *batch})
+		fmt.Fprintf(out, "fleet log %-10s profile=%-6s entries=%d (corpus [%d,%d) + forgery)", name, profile, fl.size, lo, hi)
+		if len(fl.poisoned) > 0 {
+			fmt.Fprintf(out, " poisoned=%v", fl.poisoned)
 		}
 		fmt.Fprintln(out)
 	}
 
+	// The consumer indexes each unique entry into every selected
+	// monitor model, serially; the fleet quarantines an entry whose
+	// parse or index step panics.
+	var mons []*monitor.Monitor
+	for _, caps := range monitor.Monitors() {
+		if selected(caps.Name, *monitorFilter) && !caps.Discontinued {
+			mons = append(mons, monitor.New(caps))
+		}
+	}
+	// The certificate index rides the same consume goroutine: each
+	// unique entry is parsed once and fed to both the monitor models
+	// and the LSM index, tagged with the log it was first seen on.
+	var ix index.Index
+	if *indexDir != "" {
+		lsm, err := index.Open(index.Options{Dir: *indexDir, Obs: reg, Journal: journal})
+		if err != nil {
+			return fail("index: %v", err)
+		}
+		ix = lsm
+	}
+	nextID := 0
+	parseErrors := 0
+	indexPutErrors := 0
+	handle := func(src string, e ctlog.Entry) {
+		cert, err := x509cert.ParseWithMode(e.DER, x509cert.ParseLenient)
+		if err != nil {
+			parseErrors++
+			return
+		}
+		nextID++
+		for _, m := range mons {
+			m.Index(nextID, cert)
+		}
+		if ix != nil {
+			for _, rec := range index.FromCert(src, uint64(e.Index), ctlog.LeafHash(e.DER), cert) {
+				if err := ix.Put(rec); err != nil {
+					indexPutErrors++
+				}
+			}
+		}
+	}
+
+	// Each group commit flushes the index before any checkpoint moves,
+	// so a checkpoint never points past a certificate a SIGKILL could
+	// still take out of the memtable.
+	var commit func() error
+	if ix != nil {
+		commit = ix.Flush
+	}
+	coord, err := fleet.New(fleet.Config{
+		Logs:          fleetSpecs,
+		CheckpointDir: *checkpointDir,
+		Audit:         *audit,
+		STHStoreDir:   *sthStoreDir,
+		Quorum:        *fleetQuorum,
+		QueueDepth:    *fleetQueue,
+		StallAfter:    *fleetStallAfter,
+		HandleSourced: handle,
+		Commit:        commit,
+		Obs:           reg,
+		Tracer:        tracer,
+		Journal:       journal,
+		Flight:        flight,
+	})
+	if err != nil {
+		return fail("%v", err)
+	}
+
+	// The query API gets its own listener behind the shedding Limiter —
+	// overload on the query side must never slow the crawl down.
+	if ix != nil && *queryAddr != "" {
+		reg.Help("index_server_shed_total", "Query API requests shed by the limiter, by reason.")
+		lim := &serve.Limiter{
+			MaxInFlight: *queryMaxInflight,
+			Rate:        *queryRateLimit,
+			Burst:       *queryBurst,
+			OnShed: func(reason string) {
+				reg.Counter("index_server_shed_total", "reason", reason).Inc()
+			},
+			Journal: journal,
+			Name:    "query",
+		}
+		qsrv := serve.New(lim.Wrap(index.Handler(ix, reg, journal)), serve.Config{
+			Name:         "query",
+			DrainTimeout: *drain,
+			Journal:      journal,
+		})
+		qln, err := net.Listen("tcp", *queryAddr)
+		if err != nil {
+			return fail("query listener: %v", err)
+		}
+		fmt.Fprintf(out, "query API on http://%s/ct/v1/query\n", qln.Addr())
+		qdone := make(chan error, 1)
+		go func() { qdone <- qsrv.Run(ctx, qln) }()
+		defer func() {
+			if err := qsrv.Shutdown(context.Background()); err != nil {
+				fmt.Fprintf(os.Stderr, "ctmonitor: query shutdown: %v\n", err)
+			}
+			<-qdone
+		}()
+	}
+
+	// The SLO engine reads its signals straight off the registry: one
+	// freshness rule per log (checkpoint age vs the stall budget), one
+	// fleet-wide sync error-rate rule, one shed-rate rule. A page feeds
+	// /readyz, so a sustained burn takes the fleet out of rotation even
+	// while the quorum technically holds.
+	slo := obs.NewSLOEngine(reg, journal)
+	freshTarget := *fleetStallAfter
+	if freshTarget <= 0 {
+		freshTarget = sloFreshTarget
+	}
+	for _, sp := range fleetSpecs {
+		name := sp.Name
+		slo.AddFreshness("freshness:"+name, func() float64 {
+			v, _ := reg.Sample("fleet_log_checkpoint_age_seconds", "log", name)
+			return v
+		}, freshTarget.Seconds(), 0.5, 1.0)
+	}
+	slo.AddBurnRate("sync-errors", func() float64 {
+		v, _ := reg.Sample("ctlog_requests_total", "outcome", "retryable")
+		return v
+	}, func() float64 {
+		v, _ := reg.Sum("ctlog_requests_total")
+		return v
+	}, sloErrObjective, sloFastWindow, sloSlowWindow, sloBurnWarn, sloBurnPage)
+	if *audit {
+		// Any proof failure pages: target 1 failure, warn at half a
+		// failure (unreachable for an integer — the first failure jumps
+		// straight to page), so a log caught lying takes the fleet out
+		// of rotation via /readyz even before the health loop pins it.
+		slo.AddFreshness("proof-failures", func() float64 {
+			return float64(coord.ProofFailures())
+		}, 1.0, 0.5, 1.0)
+	}
+	slo.AddBurnRate("shed-rate", func() float64 {
+		v, _ := reg.Sum("ctlog_server_shed_total")
+		return v
+	}, func() float64 {
+		v, _ := reg.Sum("ctlog_server_requests_total")
+		return v
+	}, sloErrObjective, sloFastWindow, sloSlowWindow, sloBurnWarn, sloBurnPage)
+	go slo.Run(ctx, sloTickEvery)
+
+	if *metricsAddr != "" {
+		ready := func() error {
+			if err := coord.Ready(); err != nil {
+				return err
+			}
+			return slo.Err()
+		}
+		serveMetrics(ctx, *metricsAddr, reg, journal, *drain, ready, map[string]http.Handler{
+			"/debug/fleet": coord.DebugHandler(slo, flight),
+		})
+	}
+
+	res, err := coord.Run(ctx)
+	if err != nil {
+		return fail("fleet: %v", err)
+	}
+	// Run has drained the feed and its last group commit has flushed
+	// every Put; this flush covers a run without checkpoints (no commit
+	// ran) and a last commit whose flush failed. Close is deferred
+	// before the query server finishes draining, which is safe: Close
+	// seals the memtable and keeps the segment set readable, so late
+	// queries still see every record.
+	if ix != nil {
+		if err := ix.Flush(); err != nil {
+			return fail("index flush: %v", err)
+		}
+		defer func() {
+			if err := ix.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "ctmonitor: index close: %v\n", err)
+			}
+		}()
+	}
+	// An interrupted or less-than-healthy finish is a flight moment:
+	// capture what every subsystem was doing as the run wound down.
+	if res.Interrupted || res.FinalState != fleet.Healthy.String() {
+		_, _ = flight.Trigger("degraded-exit")
+	}
+
+	// Per-log outcome table.
+	var rows [][]string
+	for _, fl := range logs {
+		rep := res.Logs[fl.name]
+		note := rep.State
+		if rep.Err != "" {
+			note += ": " + rep.Err
+		}
+		rows = append(rows, []string{
+			fl.name,
+			fl.profile,
+			fmt.Sprintf("%d", fl.size),
+			fmt.Sprintf("%d", rep.Stats.Fetched),
+			fmt.Sprintf("%d", rep.Stats.Audited),
+			fmt.Sprintf("%d", rep.Stats.SkippedEntries),
+			fmt.Sprintf("%d", rep.Stats.Retries),
+			fmt.Sprintf("%d", rep.Restarts),
+			fmt.Sprintf("%d", rep.Stats.ResumedFrom),
+			note,
+		})
+	}
+	fmt.Fprintln(out, report.Table(
+		[]string{"Log", "Profile", "Size", "Fetched", "Audited", "Skipped", "Retries", "Restarts", "Resumed", "State"},
+		rows))
+	fmt.Fprintf(out, "\nfleet: %d unique, %d cross-log duplicates, state %s", res.UniqueEntries, res.DupEntries, res.FinalState)
+	if res.Quarantined > 0 {
+		fmt.Fprintf(out, ", %d quarantined", res.Quarantined)
+	}
+	if res.Interrupted {
+		fmt.Fprintf(out, " (interrupted, checkpointed)")
+	}
+	fmt.Fprintln(out)
+
+	// Query verdicts: which monitors surface the forgery for the victim
+	// domain?
+	if !res.Interrupted {
+		var qrows [][]string
+		for _, m := range mons {
+			qres := m.Query(*query)
+			verdict := fmt.Sprintf("%d certificate(s) found", len(qres.IDs))
+			if qres.Refused {
+				verdict = "query refused: " + qres.Reason
+			} else if len(qres.IDs) == 0 {
+				verdict = "forgery concealed"
+			}
+			qrows = append(qrows, []string{m.Caps.Name, verdict})
+		}
+		fmt.Fprintln(out, report.Table([]string{"Monitor", fmt.Sprintf("Query %q", *query)}, qrows))
+	}
+
 	if *statsJSON {
+		sizes := map[string]int{}
+		poisoned := map[string][]int{}
+		injectors := map[string]any{}
+		total := 0
+		for _, fl := range logs {
+			sizes[fl.name] = fl.size
+			total += fl.size
+			if len(fl.poisoned) > 0 {
+				poisoned[fl.name] = fl.poisoned
+			}
+			if fl.injector != nil {
+				st := fl.injector.Stats()
+				injectors[fl.name] = map[string]int64{"requests": st.Requests, "faults": st.Total(), "poisoned": st.Poisoned}
+			}
+		}
+		var ixStats *index.Stats
+		if ix != nil {
+			st := ix.Stats()
+			ixStats = &st
+		}
 		obj := struct {
-			Entries     int                          `json:"entries"`
-			Interrupted bool                         `json:"interrupted"`
-			Monitors    map[string]monitor.SyncStats `json:"monitors"`
-			Totals      monitor.SyncStats            `json:"totals"`
-			Metrics     map[string]any               `json:"metrics"`
-		}{sth.Size, interrupted, perMonitor, totals, reg.VarsSnapshot()}
+			Mode         string                      `json:"mode"`
+			Audit        bool                        `json:"audit"`
+			Entries      int                         `json:"entries"`
+			Interrupted  bool                        `json:"interrupted"`
+			FinalState   string                      `json:"final_state"`
+			Unique       int                         `json:"unique_entries"`
+			Deduped      int                         `json:"dup_entries"`
+			ParseErrors  int                         `json:"parse_errors"`
+			IndexPutErrs int                         `json:"index_put_errors"`
+			Index        *index.Stats                `json:"index,omitempty"`
+			LogSizes     map[string]int              `json:"log_sizes"`
+			Poisoned     map[string][]int            `json:"poisoned"`
+			Injectors    map[string]any              `json:"injectors"`
+			Logs         map[string]*fleet.LogReport `json:"logs"`
+			Metrics      map[string]any              `json:"metrics"`
+		}{"fleet", *audit, total, res.Interrupted, res.FinalState, res.UniqueEntries, res.DupEntries,
+			parseErrors, indexPutErrors, ixStats, sizes, poisoned, injectors, res.Logs, reg.VarsSnapshot()}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(obj); err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 	}
-	if *linger > 0 && !interrupted {
+
+	if *linger > 0 && !res.Interrupted {
 		fmt.Fprintf(os.Stderr, "ctmonitor: lingering %v for scrapers\n", *linger)
 		select {
 		case <-time.After(*linger):
 		case <-ctx.Done():
 		}
 	}
-	// Retire the log front end gracefully; Run has already begun the
-	// drain if a signal arrived.
-	stop()
-	if err := logSrv.Shutdown(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "ctmonitor: log shutdown: %v\n", err)
-	}
-	<-logDone
-	if hadError && !interrupted {
-		// os.Exit skips defers: flush the progress line and capture the
-		// failing run's flight rings before going down degraded.
-		_, _ = flight.Trigger("degraded-exit")
-		prog.Stop()
-		journal.Close()
-		os.Exit(1)
-	}
-}
 
-// addStats accumulates src's counters into dst. ResumedFrom is
-// deliberately excluded — the caller pins it to the first attempt.
-func addStats(dst *monitor.SyncStats, src monitor.SyncStats) {
-	dst.Fetched += src.Fetched
-	dst.Precerts += src.Precerts
-	dst.ParseErrors += src.ParseErrors
-	dst.Indexed += src.Indexed
-	dst.Retries += src.Retries
-	dst.SkippedEntries += src.SkippedEntries
-	dst.Quarantined += src.Quarantined
-	dst.CheckpointErrors += src.CheckpointErrors
-	dst.Bisections += src.Bisections
-	dst.Audited += src.Audited
-	dst.ProofFailures += src.ProofFailures
-	dst.Duration += src.Duration
+	// Retire the per-log front ends.
+	for _, fl := range logs {
+		if err := fl.srv.Shutdown(context.Background()); err != nil {
+			fmt.Fprintf(os.Stderr, "ctmonitor: %s shutdown: %v\n", fl.name, err)
+		}
+		<-fl.done
+	}
+
+	// Degraded-not-dead: a stalled log exits 0 as long as the quorum
+	// holds (or the run was interrupted and will be resumed).
+	if !res.Interrupted {
+		if err := coord.Ready(); err != nil {
+			return fail("fleet below quorum: %v", err)
+		}
+	}
+	return 0
 }
 
 // selected applies the -monitor filter: empty matches everything,
@@ -490,20 +585,6 @@ func selected(name, filter string) bool {
 		}
 	}
 	return false
-}
-
-// slug turns a monitor name into a filename-safe checkpoint suffix.
-func slug(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('-')
-		}
-	}
-	return b.String()
 }
 
 // serveMetrics mounts the registry's exposition endpoints — plus any
@@ -560,7 +641,13 @@ func buildForgery(victim string) []byte {
 	return der
 }
 
-func fatal(format string, args ...any) {
+// fail reports a run-ending error and returns the failing exit code,
+// so run's deferred cleanup still happens.
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "ctmonitor: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
+}
+
+func fatal(format string, args ...any) {
+	os.Exit(fail(format, args...))
 }

@@ -19,7 +19,9 @@ package main
 //   - the poisoned log skipped exactly its poisoned indices — across
 //     both runs combined — and still ended healthy (bisection
 //     quarantines entries, it does not stall the log);
-//   - the shared client breaker opened and re-closed at least once.
+//   - the rate-limited log front ends shed requests
+//     (ctlog_server_shed_total > 0 over both runs);
+//   - a per-log client breaker opened and re-closed at least once.
 //
 // When both runs crawled with -audit, the calculus changes and extra
 // criteria apply: every claimed entry was Merkle-verified (Audited ==
@@ -99,7 +101,7 @@ func checkFleet(path1, path2, journal1, journal2 string) int {
 		run  fleetRun
 	}{{path1, run1}, {path2, run2}} {
 		if r.run.Mode != "fleet" {
-			failf("%s: mode %q, want \"fleet\" (was ctmonitor run with -logs?)", r.path, r.run.Mode)
+			failf("%s: mode %q, want \"fleet\" (not a ctmonitor -stats-json output?)", r.path, r.run.Mode)
 		}
 	}
 	if run1.Audit != run2.Audit {
@@ -305,6 +307,10 @@ func checkFleet(path1, path2, journal1, journal2 string) int {
 		}
 	}
 
+	shed := metricSum("ctlog_server_shed_total", run1.Metrics, run2.Metrics)
+	if shed <= 0 {
+		failf("no log ever shed a request (ctlog_server_shed_total == 0); overload protection untested")
+	}
 	opened := metricSum(`ctlog_breaker_transitions_total{to="open"}`, run1.Metrics, run2.Metrics)
 	closed := metricSum(`ctlog_breaker_transitions_total{to="closed"}`, run1.Metrics, run2.Metrics)
 	if opened < 1 {
@@ -362,8 +368,8 @@ func checkFleet(path1, path2, journal1, journal2 string) int {
 		}
 		auditNote = fmt.Sprintf(", %d entries Merkle-audited with %d proof-failure incident(s) on the poisoned log", audited, pf)
 	}
-	fmt.Printf("soakcheck: PASS: fleet of %d logs, %d resumed, %d+%d unique entries, %d+%d duplicates, %d certs indexed with zero loss across the restart, breaker opened %.0f× and closed %.0f×, %d journals replayed exactly%s\n",
-		len(run1.LogSizes), resumed, run1.Unique, run2.Unique, run1.Deduped, run2.Deduped, run2.Index.Certs, opened, closed, journals, auditNote)
+	fmt.Printf("soakcheck: PASS: fleet of %d logs, %d resumed, %d+%d unique entries, %d+%d duplicates, %d certs indexed with zero loss across the restart, %.0f shed, breaker opened %.0f× and closed %.0f×, %d journals replayed exactly%s\n",
+		len(run1.LogSizes), resumed, run1.Unique, run2.Unique, run1.Deduped, run2.Deduped, run2.Index.Certs, shed, opened, closed, journals, auditNote)
 	return 0
 }
 

@@ -129,7 +129,11 @@ type Config struct {
 	// HealthEvery is the health-evaluation cadence (default 250ms).
 	HealthEvery time.Duration
 	// Handle consumes each unique (first-seen across all logs) entry,
-	// serially from one goroutine. Nil means count-only.
+	// serially from one goroutine. Nil means count-only. A panic in
+	// Handle or HandleSourced is contained to its entry: the entry is
+	// quarantined (Result.Quarantined, monitor_quarantined_entries_total,
+	// a monitor.quarantine journal event, a flight dump) and still
+	// counts as handled, so the commit cut moves past it.
 	Handle func(e ctlog.Entry)
 	// HandleSourced, when non-nil, additionally receives each unique
 	// entry together with the name of the log it was first seen on —
@@ -149,18 +153,20 @@ type Config struct {
 	// fleet_log_restarts_total{log}, fleet_log_checkpoint{log},
 	// fleet_log_committed{log}, fleet_entries_unique_total,
 	// fleet_entries_deduped_total, the fleet_feed_* backpressure
-	// series, and monitor_checkpoint_persist_errors_total.
+	// series, monitor_checkpoint_persist_errors_total and
+	// monitor_quarantined_entries_total.
 	Obs *obs.Registry
 	// Tracer, when non-nil, is shared by all crawls.
 	Tracer *obs.Tracer
 	// Journal, when non-nil, receives the fleet's audit events:
 	// fleet.log_state and fleet.state health transitions,
-	// breaker.transition for every per-log breaker flip, and the
+	// breaker.transition for every per-log breaker flip,
+	// monitor.quarantine for each entry whose handler panicked, and the
 	// per-crawl monitor.* events from each worker's sync.
 	Journal *obs.Journal
 	// Flight, when non-nil, is threaded into every worker's crawl and
-	// supervisor; fleet health transitions and breaker-opens trigger
-	// dumps.
+	// supervisor; fleet health transitions, breaker-opens and
+	// quarantined entries trigger dumps.
 	Flight *obs.Flight
 	// Backoff/sleep overrides for tests.
 	BaseBackoff time.Duration
@@ -207,10 +213,13 @@ type Result struct {
 	// UniqueEntries counts first-seen entries delivered downstream;
 	// DupEntries counts cross-log duplicates dropped at the sink. Per
 	// run: unique + deduped == Σ per-log non-precert fetches.
-	UniqueEntries int    `json:"unique_entries"`
-	DupEntries    int    `json:"dup_entries"`
-	Interrupted   bool   `json:"interrupted"`
-	FinalState    string `json:"final_state"`
+	UniqueEntries int `json:"unique_entries"`
+	DupEntries    int `json:"dup_entries"`
+	// Quarantined counts unique entries whose Handle or HandleSourced
+	// panicked; they are included in UniqueEntries.
+	Quarantined int    `json:"quarantined"`
+	Interrupted bool   `json:"interrupted"`
+	FinalState  string `json:"final_state"`
 }
 
 // worker is one log's failure domain.
@@ -298,10 +307,12 @@ type Coordinator struct {
 	fleetState  atomic.Int32
 	unique      atomic.Int64
 	dups        atomic.Int64
+	quarantined atomic.Int64
 	stateGauge  *obs.Gauge
 	uniqueCtr   *obs.Counter
 	dedupedCtr  *obs.Counter
 	cpErrors    *obs.Counter
+	quarCtr     *obs.Counter
 	transitions map[State]*obs.Counter
 	ring        *obs.FlightRing
 }
@@ -380,6 +391,7 @@ func (c *Coordinator) instrument() {
 	reg.Help("fleet_log_checkpoint", "Per-log next index the crawl will fetch.")
 	reg.Help("fleet_log_committed", "Per-log next index of the last committed checkpoint; every entry below it is durable.")
 	reg.Help("monitor_checkpoint_persist_errors_total", "Checkpoint saves that failed (crawl continued).")
+	reg.Help("monitor_quarantined_entries_total", "Entries whose parse/index step panicked and was contained.")
 	reg.Help("fleet_log_checkpoint_age_seconds", "Per-log seconds since the crawl last advanced; the freshness-SLO source.")
 	reg.Help("fleet_entries_unique_total", "First-seen entries delivered downstream (cross-log dedup winners).")
 	reg.Help("fleet_entries_deduped_total", "Cross-log duplicate entries dropped at the fleet sink.")
@@ -389,6 +401,7 @@ func (c *Coordinator) instrument() {
 	c.uniqueCtr = reg.Counter("fleet_entries_unique_total")
 	c.dedupedCtr = reg.Counter("fleet_entries_deduped_total")
 	c.cpErrors = reg.Counter("monitor_checkpoint_persist_errors_total")
+	c.quarCtr = reg.Counter("monitor_quarantined_entries_total")
 	for _, s := range []State{Healthy, Degraded, Stalled, Distrusted} {
 		c.transitions[s] = reg.Counter("fleet_state_transitions_total", "to", s.String())
 	}
@@ -576,6 +589,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 		Logs:          map[string]*LogReport{},
 		UniqueEntries: int(c.unique.Load()),
 		DupEntries:    int(c.dups.Load()),
+		Quarantined:   int(c.quarantined.Load()),
 		Interrupted:   ctx.Err() != nil,
 		FinalState:    c.State().String(),
 	}
@@ -678,7 +692,9 @@ func (c *Coordinator) runWorker(ctx context.Context, w *worker) {
 // consume drains the feed serially into Handle. It uses a background
 // context on purpose: entries already accepted into the feed are
 // delivered even during shutdown — the feed is bounded, so this drains
-// quickly — and the loop ends when Run closes the feed.
+// quickly — and the loop ends when Run closes the feed. An entry whose
+// handler panics is quarantined, and it still counts as handled: the
+// handler is done with it, so the commit cut may move past it.
 func (c *Coordinator) consume(done chan<- struct{}) {
 	defer close(done)
 	for {
@@ -688,14 +704,38 @@ func (c *Coordinator) consume(done chan<- struct{}) {
 		}
 		c.unique.Add(1)
 		c.uniqueCtr.Inc()
-		if c.cfg.Handle != nil {
-			c.cfg.Handle(s.e)
-		}
-		if c.cfg.HandleSourced != nil {
-			c.cfg.HandleSourced(s.w.spec.Name, s.e)
+		if !c.handle(s) {
+			c.quarantine(s)
 		}
 		s.w.handled.Add(1)
 	}
+}
+
+// handle runs the consumer callbacks on one entry and reports whether
+// they returned; a panic — a hostile certificate hitting a parser or
+// index edge case — is recovered and reported as false.
+func (c *Coordinator) handle(s sourced) (ok bool) {
+	defer func() { recover() }()
+	if c.cfg.Handle != nil {
+		c.cfg.Handle(s.e)
+	}
+	if c.cfg.HandleSourced != nil {
+		c.cfg.HandleSourced(s.w.spec.Name, s.e)
+	}
+	return true
+}
+
+// quarantine records one contained handler panic in every sink: the
+// result count, the counter, the flight ring, the journal, and a
+// flight dump of the moments before it.
+func (c *Coordinator) quarantine(s sourced) {
+	c.quarantined.Add(1)
+	c.quarCtr.Inc()
+	c.ring.Record("quarantine", s.w.spec.Name, int64(s.e.Index), 0)
+	c.cfg.Journal.Emit(nil, "monitor.quarantine", map[string]any{
+		"log": s.w.spec.Name, "index": s.e.Index,
+	})
+	_, _ = c.cfg.Flight.Trigger("quarantine")
 }
 
 // commitLoop runs a group commit every commitEvery until stopped; Run

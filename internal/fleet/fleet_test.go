@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -638,5 +640,77 @@ func TestFleetDistrustsEquivocatingLog(t *testing.T) {
 	}
 	if len(dumps) == 0 {
 		t.Fatal("distrust left no flight-recorder dump")
+	}
+}
+
+// TestFleetQuarantinesHandlerPanic: a handler that panics on one entry
+// must not take down the consumer. The entry is quarantined in every
+// sink — Result, counter, journal, flight dump — and still counts as
+// handled, so the run finishes with the checkpoint at the log's end.
+func TestFleetQuarantinesHandlerPanic(t *testing.T) {
+	const perLog, k = 20, 7
+	dir := t.TempDir()
+	flightDir := t.TempDir()
+	reg := obs.NewRegistry()
+	journalPath := filepath.Join(t.TempDir(), "run.jsonl")
+	journal, err := obs.OpenJournal(journalPath, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	handled := 0
+	c, err := New(Config{
+		Logs:          []LogSpec{{Name: "alpha", Client: fastClient(serveLog(t, 711, ders(t, "qp", perLog)), nil), Batch: 4}},
+		CheckpointDir: dir,
+		Obs:           reg,
+		Journal:       journal,
+		Flight:        obs.NewFlight(flightDir, 0, reg),
+		Sleep:         noSleep,
+		HandleSourced: func(log string, e ctlog.Entry) {
+			if e.Index == k {
+				panic("hostile certificate")
+			}
+			handled++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Quarantined != 1 || res.UniqueEntries != perLog || handled != perLog-1 {
+		t.Fatalf("quarantined %d, unique %d, handled %d; want 1, %d, %d",
+			res.Quarantined, res.UniqueEntries, handled, perLog, perLog-1)
+	}
+	if got, _ := reg.Sample("monitor_quarantined_entries_total"); got != 1 {
+		t.Fatalf("monitor_quarantined_entries_total = %v, want 1", got)
+	}
+	if cp, ok := loadCheckpoint(t, dir, "alpha"); !ok || cp.NextIndex != perLog {
+		t.Fatalf("final checkpoint %+v (ok %v), want next index %d", cp, ok, perLog)
+	}
+	data, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quarantines := 0
+	for _, ev := range events {
+		if ev.Type == "monitor.quarantine" {
+			quarantines++
+			if ev.Attrs["log"] != "alpha" || ev.Attrs["index"] != float64(k) {
+				t.Fatalf("monitor.quarantine attrs %v, want log alpha index %d", ev.Attrs, k)
+			}
+		}
+	}
+	if quarantines != 1 {
+		t.Fatalf("%d monitor.quarantine events, want 1", quarantines)
+	}
+	if dumps, _ := filepath.Glob(filepath.Join(flightDir, "flight-*-quarantine.jsonl")); len(dumps) != 1 {
+		t.Fatalf("quarantine flight dumps %v, want one", dumps)
 	}
 }
